@@ -24,6 +24,9 @@ random_augment runs through the same machinery as adversarial with k=1,
 and the pairing term is skipped entirely when lam == 0, so the
 equivalences (random_augment == adversarial@k=1, adversarial_alp@lam=0 ==
 adversarial) hold bitwise.
+
+Training, the sweeps and softmax_curve turn data into features through
+featurize, the one place where the orbit mappings of cloud and image run.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import canonicalize_similarity
-from .image import GrayImage, SCHEMES, canonicalize_image, rotate_image
+from .cloud import SimilarityMapping
+from .image import GrayImage, SCHEMES, RotationMapping, rotate_image
 from .formats import ReportDocument
 
+# The order of these tables fixes the codes in model files.
+KINDS = ("image", "cloud")
+CANON_MODES = ("off", "train_and_test", "test_only")
 MODES = ("plain", "random_augment", "adversarial", "mixed",
          "adversarial_alp", "adversarial_kl")
 
@@ -68,7 +74,7 @@ class LabeledDataset:
     seed: int
 
     def __post_init__(self):
-        if self.kind not in ("image", "cloud"):
+        if self.kind not in KINDS:
             raise ValueError(f"kind must be 'image' or 'cloud', got {self.kind!r}")
         for _, label in self.samples:
             if not 0 <= label < len(self.class_names):
@@ -259,7 +265,7 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not (self.learning_rate > 0.0):
             raise ValueError("learning_rate must be positive")
-        if self.canonicalize not in ("off", "train_and_test", "test_only"):
+        if self.canonicalize not in CANON_MODES:
             raise ValueError(f"bad canonicalize setting {self.canonicalize!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
@@ -292,34 +298,47 @@ def rotation_grid_3d(steps: int = GRID_STEPS_3D) -> list[tuple[str, np.ndarray]]
     return grid
 
 
-def cloud_canonicalizer(sign_reference: str = "first"):
-    """Datum-level canonicalizer for clouds (similarity normalization)."""
+def featurize(spec, kind: str, data) -> np.ndarray:
+    """Stack a sequence of data into a feature matrix, one raveled datum a row.
 
-    def canon(points):
-        return canonicalize_similarity(points, sign_reference=sign_reference)[0]
+    spec is a TrainConfig while training and the LinearSoftmaxModel being
+    fed otherwise.  Each datum first goes through the mapping of its kind
+    (SimilarityMapping, or RotationMapping with spec's scheme and sigma)
+    when spec canonicalizes at that stage: a config under 'train_and_test',
+    a model also under 'test_only'.  Rows must all have one size, a model's
+    that of its weights; ValueError names both sizes of a mismatch.
+    """
+    training = isinstance(spec, TrainConfig)
+    mapping = None
+    if spec.canonicalize == "train_and_test" or (
+            spec.canonicalize == "test_only" and not training):
+        mapping = (SimilarityMapping() if kind == "cloud"
+                   else RotationMapping(spec.scheme or "bilinear", spec.sigma))
+    size = None if training else spec.weights.shape[1]
+    rows = []
+    for datum in data:
+        if mapping is not None:
+            datum = mapping(datum).canonical
+        row = (datum.pixels if kind == "image"
+               else np.asarray(datum, dtype=float)).ravel()
+        if size is None:
+            size = row.size
+        if row.size != size:
+            message = ("the data mix {} and {}" if training
+                       else "the model takes {}, not {}")
+            raise ValueError(message.format(_sized(kind, size), _sized(kind, row.size)))
+        rows.append(row)
+    return np.stack(rows) if rows else np.empty((0, size or 0))
 
-    return canon
 
-
-def image_canonicalizer(scheme: str = "bilinear", sigma: float = 1.0):
-    """Datum-level canonicalizer for images (rotation normalization)."""
-
-    def canon(img):
-        return canonicalize_image(img, scheme=scheme, sigma=sigma).canonical
-
-    return canon
-
-
-def _default_canonicalizer(kind: str, scheme: str | None, sigma: float):
-    if kind == "cloud":
-        return cloud_canonicalizer()
-    return image_canonicalizer(scheme or "bilinear", sigma)
-
-
-def _featurize(kind: str, datum) -> np.ndarray:
-    if kind == "image":
-        return datum.pixels.ravel()
-    return np.asarray(datum, dtype=float).ravel()
+def _sized(kind: str, n_features: int) -> str:
+    """Name the inputs of a kind that give n_features features."""
+    side = math.isqrt(n_features)
+    if kind == "cloud" and n_features % 3 == 0:
+        return f"{n_features // 3}-point clouds"
+    if kind == "image" and side * side == n_features:
+        return f"{side} x {side} rasters"
+    return f"{kind}s of {n_features} features"
 
 
 # ---------------------------------------------------------------------------
@@ -371,27 +390,20 @@ class _TransformSampler:
                             self.scheme)
 
 
-def train_classifier(data: LabeledDataset, cfg: TrainConfig,
-                     canonicalizer=None) -> LinearSoftmaxModel:
+def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxModel:
     """Fit the linear softmax head by plain minibatch gradient descent.
 
     Weights start at zero (the objective is convex, so no random init is
     needed) and every random draw comes from generators seeded by
     cfg.seed, making the result a deterministic function of (data, cfg).
-    The canonicalizer defaults to the standard one for the data kind and
-    is applied according to cfg.canonicalize.  Raises ValueError if the
-    parameters stop being finite (diverged learning rate).
+    Clean samples and augmented candidates become features through
+    featurize, which canonicalizes them under 'train_and_test'.  Raises
+    ValueError if the parameters stop being finite (diverged learning
+    rate).
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    if canonicalizer is None:
-        canonicalizer = _default_canonicalizer(data.kind, cfg.scheme, cfg.sigma)
-    canon_train = cfg.canonicalize == "train_and_test"
-
-    def prepare(datum):
-        return _featurize(data.kind, canonicalizer(datum) if canon_train else datum)
-
-    clean_feats = np.stack([prepare(datum) for datum, _ in data.samples])
+    clean_feats = featurize(cfg, data.kind, [datum for datum, _ in data.samples])
     labels = data.labels()
     n, n_features = clean_feats.shape
     n_classes = data.n_classes
@@ -418,8 +430,8 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig,
                 adv = np.empty((len(idx), n_features))
                 for row, sample_index in enumerate(idx):
                     datum = data.samples[sample_index][0]
-                    cand = np.stack([prepare(sampler.draw(datum))
-                                     for _ in range(k)])
+                    cand = featurize(cfg, data.kind,
+                                     [sampler.draw(datum) for _ in range(k)])
                     losses = _per_sample_ce(W, b, cand,
                                             np.full(k, yb[row]))
                     adv[row] = cand[int(np.argmax(losses))]
@@ -495,32 +507,19 @@ class AuditReport:
                               grid=self.grid, curve=np.asarray(self.curve, float))
 
 
-def _test_features(model, canonicalizer, data, transform=None):
-    feats = []
-    use_canon = model.canonicalize in ("train_and_test", "test_only")
-    for datum, _ in data.samples:
-        if transform is not None:
-            datum = transform(datum)
-        if use_canon:
-            datum = canonicalizer(datum)
-        feats.append(_featurize(model.kind, datum))
-    return np.stack(feats)
-
-
-def _sweep(model, data, transforms, kind, scheme, canonicalizer=None) -> AuditReport:
+def _sweep(model, data, transforms, kind, scheme) -> AuditReport:
     if len(data) == 0:
         raise ValueError("empty dataset")
     if data.kind != model.kind:
         raise ValueError(f"model expects {model.kind} data, got {data.kind}")
-    if canonicalizer is None:
-        canonicalizer = _default_canonicalizer(model.kind, model.scheme, model.sigma)
     labels = data.labels()
-    clean_pred = model.predict(_test_features(model, canonicalizer, data))
+    inputs = [datum for datum, _ in data.samples]
+    clean_pred = model.predict(featurize(model, model.kind, inputs))
     clean = float(np.mean(clean_pred == labels))
     correct = np.empty((len(data), len(transforms)), dtype=bool)
     grid_labels = []
     for gi, (label, transform) in enumerate(transforms):
-        feats = _test_features(model, canonicalizer, data, transform)
+        feats = featurize(model, model.kind, [transform(datum) for datum in inputs])
         correct[:, gi] = model.predict(feats) == labels
         grid_labels.append(label)
     curve = correct.mean(axis=0)
@@ -536,8 +535,7 @@ def _sweep(model, data, transforms, kind, scheme, canonicalizer=None) -> AuditRe
 
 
 def evaluate_rotation_sweep_2d(model, data: LabeledDataset,
-                               scheme: str = "bilinear",
-                               canonicalizer=None) -> AuditReport:
+                               scheme: str = "bilinear") -> AuditReport:
     """Accuracy under content rotations at every whole degree.
 
     `scheme` is the resampler used to build the rotated test inputs (the
@@ -550,21 +548,19 @@ def evaluate_rotation_sweep_2d(model, data: LabeledDataset,
         (str(deg), (lambda img, a=math.radians(deg): rotate_image(img, a, scheme)))
         for deg in range(360)
     ]
-    return _sweep(model, data, transforms, "rotation2d", scheme, canonicalizer)
+    return _sweep(model, data, transforms, "rotation2d", scheme)
 
 
-def evaluate_rotation_grid_3d(model, data: LabeledDataset,
-                              canonicalizer=None) -> AuditReport:
+def evaluate_rotation_grid_3d(model, data: LabeledDataset) -> AuditReport:
     """Accuracy under the full 3-D rotation grid (see rotation_grid_3d)."""
     transforms = [
         (label, (lambda X, R=R: np.asarray(X) @ R))
         for label, R in rotation_grid_3d()
     ]
-    return _sweep(model, data, transforms, "rotation3d", "", canonicalizer)
+    return _sweep(model, data, transforms, "rotation3d", "")
 
 
-def evaluate_scale_sweep(model, data: LabeledDataset,
-                         canonicalizer=None) -> AuditReport:
+def evaluate_scale_sweep(model, data: LabeledDataset) -> AuditReport:
     """Accuracy under global rescaling of cloud coordinates."""
     if data.kind != "cloud":
         raise ValueError("scale sweep is defined for cloud data")
@@ -572,32 +568,26 @@ def evaluate_scale_sweep(model, data: LabeledDataset,
         (_fmt_scale(s), (lambda X, s=s: np.asarray(X) * s))
         for s in SCALE_FACTORS
     ]
-    return _sweep(model, data, transforms, "scale", "", canonicalizer)
+    return _sweep(model, data, transforms, "scale", "")
 
 
 def _fmt_scale(s: float) -> str:
     return f"{s:g}"
 
 
-def softmax_curve(model, sample, angles, scheme: str = "bilinear",
-                  canonicalizer=None) -> np.ndarray:
+def softmax_curve(model, sample, angles, scheme: str = "bilinear") -> np.ndarray:
     """True-class softmax probability as the input spins through `angles`.
 
     Images rotate in-plane with `scheme`; clouds rotate about the z axis.
     Returns one probability per angle.
     """
     datum, label = sample
-    if canonicalizer is None:
-        canonicalizer = _default_canonicalizer(model.kind, model.scheme, model.sigma)
-    use_canon = model.canonicalize in ("train_and_test", "test_only")
-    probs = []
-    for angle in np.asarray(angles, dtype=float):
-        if model.kind == "image":
-            moved = rotate_image(datum, float(angle), scheme)
-        else:
-            moved = np.asarray(datum) @ rotation_about(2, float(angle))
-        if use_canon:
-            moved = canonicalizer(moved)
-        z = model.logits(_featurize(model.kind, moved)[None, :])
-        probs.append(float(np.exp(_log_softmax(z))[0, label]))
-    return np.array(probs)
+    angles = [float(a) for a in np.asarray(angles, dtype=float)]
+    if model.kind == "image":
+        moved = [rotate_image(datum, a, scheme) for a in angles]
+    else:
+        moved = [np.asarray(datum) @ rotation_about(2, a) for a in angles]
+    # One row at a time: a batched product sums in another order, which
+    # would change the last bits of the curve.
+    return np.array([np.exp(_log_softmax(model.logits(row[None, :])))[0, label]
+                     for row in featurize(model, model.kind, moved)])

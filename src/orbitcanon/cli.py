@@ -5,6 +5,8 @@ generation, training, the three audits, probability curves, and a
 self-verification suite.  All outputs are byte-deterministic given
 identical inputs and flags.  Exit codes: 0 success, 1 usage error,
 2 data error, 3 degenerate-input hard failure, 4 selftest failure.
+Data errors include model files with non-finite parameters and inputs
+whose size differs from the model's or from the rest of their dataset.
 """
 
 from __future__ import annotations
@@ -162,8 +164,6 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if not (args.sigma > 0.0):
-        raise _UsageError(f"--sigma must be positive, got {args.sigma}")
     try:
         cfg = _audit.TrainConfig(
             mode=_MODE_NAMES[args.mode], k=args.k, lam=args.lam,
@@ -201,9 +201,7 @@ def _cmd_curve(args) -> int:
         datum = _read_cloud_file(path)
     if args.label is None:
         # Default to the model's prediction on the untransformed sample.
-        canon = _audit._default_canonicalizer(model.kind, model.scheme, model.sigma)
-        probe = canon(datum) if model.canonicalize != "off" else datum
-        label = int(model.predict(_audit._featurize(model.kind, probe)[None, :])[0])
+        label = int(model.predict(_audit.featurize(model, model.kind, [datum]))[0])
     else:
         label = args.label
     if model.kind == "image":

@@ -12,7 +12,7 @@ map is always a proper rotation and never a reflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,10 @@ def normalize_scale(points) -> tuple[np.ndarray, float]:
     whose points all sit at the origin has no scale and raises
     DegenerateCloudError.
     """
-    X = as_cloud(points)
+    return _unit_scale(as_cloud(points))
+
+
+def _unit_scale(X: np.ndarray) -> tuple[np.ndarray, float]:
     scale = float(np.linalg.norm(X, axis=1).mean())
     if scale == 0.0:
         raise DegenerateCloudError("every point is at the origin; no scale to remove")
@@ -176,15 +179,26 @@ def canonicalize_rotation(points, sign_reference: str = "first"
     and the sign rule cancels that remaining freedom.
     """
     X = as_cloud(points)
+    _check_rotatable(X, sign_reference)
+    mean_norm = float(np.linalg.norm(X, axis=1).mean())
+    if float(np.linalg.norm(X.mean(axis=0))) > 1e-9 * max(mean_norm, 1e-300):
+        raise ValueError("cloud is not centered; subtract the centroid first")
+    return _align(X, sign_reference, np.zeros(3), 1.0)
+
+
+def _check_rotatable(X: np.ndarray, sign_reference: str) -> None:
     if X.shape[0] < 3:
         raise ValueError("need at least 3 points to fix a rotation")
     if sign_reference not in ("first", "max_norm"):
         raise ValueError(f"unknown sign_reference {sign_reference!r}")
+
+
+def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
+           scale: float) -> tuple[np.ndarray, PCAFrame]:
+    """The rotation step of canonicalize_rotation on a validated cloud;
+    the frame records the centroid and scale already removed from X."""
     norms = np.linalg.norm(X, axis=1)
     mean_norm = float(norms.mean())
-    if float(np.linalg.norm(X.mean(axis=0))) > 1e-9 * max(mean_norm, 1e-300):
-        raise ValueError("cloud is not centered; subtract the centroid first")
-
     w, V = eig3_sym(X.T @ X)
     P = X @ V
     sign_tol = SIGN_RTOL * max(mean_norm, 1e-300)
@@ -211,8 +225,8 @@ def canonicalize_rotation(points, sign_reference: str = "first"
 
     canonical = P * signs
     frame = PCAFrame(
-        centroid=np.zeros(3),
-        scale=1.0,
+        centroid=centroid,
+        scale=scale,
         basis=V,
         signs=signs,
         singular_values=np.sqrt(np.maximum(w, 0.0)),
@@ -228,12 +242,15 @@ def canonicalize_similarity(points, sign_reference: str = "first"
     Returns the canonical cloud and the frame that produced it;
     apply_frame(frame, original) reproduces the canonical cloud.  Clouds
     related by any combination of rotation, uniform scaling and
-    translation map to the same canonical cloud up to rounding.
+    translation map to the same canonical cloud up to rounding.  The input
+    is validated once; the centered cloud is not re-checked for being
+    centered, which rounding breaks at offsets far beyond its spread.
     """
-    centered, centroid = center_cloud(points)
-    scaled, scale = normalize_scale(centered)
-    canonical, frame = canonicalize_rotation(scaled, sign_reference=sign_reference)
-    return canonical, replace(frame, centroid=centroid, scale=scale)
+    X = as_cloud(points)
+    centroid = X.mean(axis=0)
+    scaled, scale = _unit_scale(X - centroid)
+    _check_rotatable(scaled, sign_reference)
+    return _align(scaled, sign_reference, centroid, scale)
 
 
 @dataclass(frozen=True)

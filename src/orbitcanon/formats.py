@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .image import GrayImage
+from .image import SCHEMES, GrayImage
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -307,10 +307,14 @@ def write_report(doc: ReportDocument) -> str:
     return out.getvalue()
 
 
-def read_report(text: str) -> ReportDocument:
-    """Parse a report written by write_report, validating structure."""
+def _read_table(text: str, header: str, where: str):
+    """Split a '# key=value' preamble from the 3-column rows after `header`.
+
+    Returns (metadata, rows as (line number, fields), whether the header
+    was seen); `where` names the line numbers in errors.
+    """
     meta: dict[str, str] = {}
-    rows: list[tuple[int, str, float]] = []
+    rows: list[tuple[int, list[str]]] = []
     saw_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -323,13 +327,22 @@ def read_report(text: str) -> ReportDocument:
                 meta[key.strip()] = value.strip()
             continue
         if not saw_header:
-            if line != "index,transform,accuracy":
-                raise ValueError(f"line {lineno}: unexpected header {line!r}")
+            if line != header:
+                raise ValueError(f"{where} {lineno}: unexpected header {line!r}")
             saw_header = True
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 3 columns")
+            raise ValueError(f"{where} {lineno}: expected 3 columns")
+        rows.append((lineno, parts))
+    return meta, rows, saw_header
+
+
+def read_report(text: str) -> ReportDocument:
+    """Parse a report written by write_report, validating structure."""
+    meta, table, saw_header = _read_table(text, "index,transform,accuracy", "line")
+    rows: list[tuple[int, str, float]] = []
+    for lineno, parts in table:
         try:
             rows.append((int(parts[0]), parts[1], float(parts[2])))
         except ValueError:
@@ -363,12 +376,6 @@ def read_report(text: str) -> ReportDocument:
 # ---------------------------------------------------------------------------
 # Model files
 
-_KINDS = ("image", "cloud")
-_CANON_MODES = ("off", "train_and_test", "test_only")
-_SCHEME_CODES = ("nearest", "bilinear", "bicubic")
-_TRAIN_MODES = ("plain", "random_augment", "adversarial", "mixed",
-                "adversarial_alp", "adversarial_kl")
-
 
 def save_model(model) -> bytes:
     """Serialize a linear softmax model to a versioned little-endian blob.
@@ -376,15 +383,18 @@ def save_model(model) -> bytes:
     Layout after the 8-byte magic: kind, canonicalize-mode, scheme and
     training-mode codes (one byte each, scheme 255 when unset), blur
     sigma as f8, the class and feature counts as u32, then row-major f8
-    weights and the f8 bias vector.
+    weights and the f8 bias vector.  The codes index audit.KINDS,
+    audit.CANON_MODES, image.SCHEMES and audit.MODES.
     """
-    if model.kind not in _KINDS:
+    from .audit import CANON_MODES, KINDS, MODES  # deferred: import cycle
+
+    if model.kind not in KINDS:
         raise ValueError(f"unknown model kind {model.kind!r}")
-    if model.canonicalize not in _CANON_MODES:
+    if model.canonicalize not in CANON_MODES:
         raise ValueError(f"unknown canonicalize mode {model.canonicalize!r}")
-    if model.mode not in _TRAIN_MODES:
+    if model.mode not in MODES:
         raise ValueError(f"unknown training mode {model.mode!r}")
-    scheme_code = 255 if model.scheme is None else _SCHEME_CODES.index(model.scheme)
+    scheme_code = 255 if model.scheme is None else SCHEMES.index(model.scheme)
     W = np.asarray(model.weights, dtype=float)
     b = np.asarray(model.bias, dtype=float)
     if W.ndim != 2 or b.shape != (W.shape[0],):
@@ -392,10 +402,10 @@ def save_model(model) -> bytes:
     head = struct.pack(
         "<8sBBBBd II",
         _MODEL_MAGIC,
-        _KINDS.index(model.kind),
-        _CANON_MODES.index(model.canonicalize),
+        KINDS.index(model.kind),
+        CANON_MODES.index(model.canonicalize),
         scheme_code,
-        _TRAIN_MODES.index(model.mode),
+        MODES.index(model.mode),
         float(model.sigma),
         W.shape[0],
         W.shape[1],
@@ -405,7 +415,8 @@ def save_model(model) -> bytes:
 
 def load_model(data: bytes):
     """Deserialize a model written by save_model; see there for the layout."""
-    from .audit import LinearSoftmaxModel  # deferred to avoid an import cycle
+    # deferred: import cycle
+    from .audit import CANON_MODES, KINDS, MODES, LinearSoftmaxModel
 
     head_fmt = "<8sBBBBd II"
     head_size = struct.calcsize(head_fmt)
@@ -415,28 +426,32 @@ def load_model(data: bytes):
         n_features = struct.unpack(head_fmt, data[:head_size])
     if magic != _MODEL_MAGIC:
         raise ValueError(f"bad model magic {magic!r}")
-    if kind_code >= len(_KINDS):
+    if kind_code >= len(KINDS):
         raise ValueError(f"bad model kind code {kind_code}")
-    if canon_code >= len(_CANON_MODES):
+    if canon_code >= len(CANON_MODES):
         raise ValueError(f"bad canonicalize code {canon_code}")
-    if scheme_code != 255 and scheme_code >= len(_SCHEME_CODES):
+    if scheme_code != 255 and scheme_code >= len(SCHEMES):
         raise ValueError(f"bad scheme code {scheme_code}")
-    if mode_code >= len(_TRAIN_MODES):
+    if mode_code >= len(MODES):
         raise ValueError(f"bad training mode code {mode_code}")
     need = head_size + 8 * (n_classes * n_features + n_classes)
     if len(data) != need:
         raise ValueError(f"model file is {len(data)} bytes, expected {need}")
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"model sigma {sigma!r} is not a positive finite number")
     flat = np.frombuffer(data[head_size:], dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("model weights or bias contain non-finite values")
     W = flat[:n_classes * n_features].reshape(n_classes, n_features).copy()
     b = flat[n_classes * n_features:].copy()
     return LinearSoftmaxModel(
         weights=W,
         bias=b,
-        kind=_KINDS[kind_code],
-        canonicalize=_CANON_MODES[canon_code],
-        scheme=None if scheme_code == 255 else _SCHEME_CODES[scheme_code],
+        kind=KINDS[kind_code],
+        canonicalize=CANON_MODES[canon_code],
+        scheme=None if scheme_code == 255 else SCHEMES[scheme_code],
         sigma=sigma,
-        mode=_TRAIN_MODES[mode_code],
+        mode=MODES[mode_code],
     )
 
 
@@ -470,36 +485,17 @@ def save_dataset(data, directory) -> None:
 
 def load_dataset(directory):
     """Read back a dataset directory written by save_dataset."""
-    from .audit import LabeledDataset  # deferred to avoid an import cycle
+    from .audit import KINDS, LabeledDataset  # deferred: import cycle
 
     root = Path(directory)
     manifest = root / "manifest.csv"
     if not manifest.is_file():
         raise ValueError(f"no manifest.csv under {root}")
-    meta: dict[str, str] = {}
-    rows: list[tuple[str, int]] = []
-    saw_header = False
-    for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        if not saw_header:
-            if line != "filename,label,class_name":
-                raise ValueError(f"manifest line {lineno}: unexpected header")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"manifest line {lineno}: expected 3 columns")
-        rows.append((parts[0], int(parts[1])))
+    meta, table, _ = _read_table(manifest.read_text(), "filename,label,class_name",
+                                 "manifest line")
+    rows = [(parts[0], int(parts[1])) for _, parts in table]
     kind = meta.get("kind")
-    if kind not in ("image", "cloud"):
+    if kind not in KINDS:
         raise ValueError(f"manifest kind {kind!r} is not 'image' or 'cloud'")
     class_names = tuple(meta.get("classes", "").split("|")) if meta.get("classes") else ()
     samples = []

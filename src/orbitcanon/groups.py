@@ -208,17 +208,21 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise ValueError("n must be >= 1")
     elements = tuple(itertools.permutations(range(n)))
 
-    def apply(p, x):
-        return np.asarray(x)[list(p)]
-
     def compose(g, h):
         return tuple(h[g[i]] for i in range(n))
 
-    def inverse(g):
-        inv = [0] * n
-        for i, gi in enumerate(g):
-            inv[gi] = i
-        return tuple(inv)
+    return FiniteGroup(elements=elements, apply=permute, compose=compose,
+                       inverse=invert_permutation, identity=tuple(range(n)))
 
-    return FiniteGroup(elements=elements, apply=apply, compose=compose,
-                       inverse=inverse, identity=tuple(range(n)))
+
+def permute(p, x):
+    """Act with the permutation p (a tuple of indices) on x: x -> x[p]."""
+    return np.asarray(x)[list(p)]
+
+
+def invert_permutation(p) -> tuple:
+    """The permutation q with q[p[i]] == i."""
+    inv = [0] * len(p)
+    for i, pi in enumerate(p):
+        inv[pi] = i
+    return tuple(inv)

@@ -189,11 +189,6 @@ def smooth_model(img: GrayImage, sigma: float = 1.0) -> SmoothImageModel:
     return SmoothImageModel(gaussian_blur(img, sigma))
 
 
-def model_gradient(model: SmoothImageModel, points) -> np.ndarray:
-    """Gradient of the continuous model at arbitrary points."""
-    return model.gradient(points)
-
-
 def mean_gradient(model: SmoothImageModel) -> MeanGradient:
     """Average the model gradient over the two probe circles.
 
@@ -272,30 +267,21 @@ def rotate_image(img: GrayImage, alpha: float, scheme: str = "bilinear") -> Gray
         c = np.clip(np.floor(col_f + 0.5), 0, n - 1).astype(int)
         r = np.clip(np.floor(row_f + 0.5), 0, n - 1).astype(int)
         out[inside] = p[r[inside], c[inside]]
-    elif scheme == "bilinear":
-        c0 = np.floor(col_f).astype(int)
-        r0 = np.floor(row_f).astype(int)
-        tc = col_f - c0
-        tr = row_f - r0
-        acc = np.zeros((n, n))
-        for dr, wr in ((0, 1.0 - tr), (1, tr)):
-            rr = np.clip(r0 + dr, 0, n - 1)
-            for dc, wc in ((0, 1.0 - tc), (1, tc)):
-                cc = np.clip(c0 + dc, 0, n - 1)
-                acc += wr * wc * p[rr, cc]
-        out[inside] = acc[inside]
     else:
         c0 = np.floor(col_f).astype(int)
         r0 = np.floor(row_f).astype(int)
         tc = col_f - c0
         tr = row_f - r0
-        wc = _catmull_rom_weights(tc)
-        wr = _catmull_rom_weights(tr)
+        if scheme == "bilinear":
+            taps, wr, wc = (0, 1), (1.0 - tr, tr), (1.0 - tc, tc)
+        else:
+            taps = (-1, 0, 1, 2)
+            wr, wc = _catmull_rom_weights(tr), _catmull_rom_weights(tc)
         acc = np.zeros((n, n))
-        for i in range(4):
-            rr = np.clip(r0 + i - 1, 0, n - 1)
-            for j in range(4):
-                cc = np.clip(c0 + j - 1, 0, n - 1)
+        for i, dr in enumerate(taps):
+            rr = np.clip(r0 + dr, 0, n - 1)
+            for j, dc in enumerate(taps):
+                cc = np.clip(c0 + dc, 0, n - 1)
                 acc += wr[i] * wc[j] * p[rr, cc]
         out[inside] = acc[inside]
     return GrayImage(np.clip(out, 0.0, 1.0))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import CanonResult
+from .groups import CanonResult, invert_permutation, permute
 
 
 def as_vector(x) -> np.ndarray:
@@ -78,16 +78,8 @@ class SortMapping:
     def __call__(self, x) -> CanonResult:
         return sort_canonicalize(x)
 
-    @staticmethod
-    def apply(p, x):
-        return np.asarray(x)[list(p)]
-
-    @staticmethod
-    def inverse(p):
-        inv = [0] * len(p)
-        for i, pi in enumerate(p):
-            inv[pi] = i
-        return tuple(inv)
+    apply = staticmethod(permute)
+    inverse = staticmethod(invert_permutation)
 
 
 class MeanShiftMapping:

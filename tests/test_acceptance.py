@@ -39,7 +39,6 @@ from orbitcanon.image import (
     canonical_angle,
     canonicalize_image,
     mean_gradient,
-    model_gradient,
     rotate_image,
     smooth_model,
 )
@@ -373,7 +372,7 @@ def test_criterion_09_gradient_finite_differences():
         if ok:
             pts.append(z)
     pts = np.array(pts)
-    grad = model_gradient(model, pts)
+    grad = model.gradient(pts)
     worst = 0.0
     for axis in range(2):
         offset = np.zeros(2)

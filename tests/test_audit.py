@@ -10,13 +10,12 @@ from orbitcanon.audit import (
     AuditReport,
     LinearSoftmaxModel,
     TrainConfig,
-    cloud_canonicalizer,
     evaluate_rotation_grid_3d,
     evaluate_rotation_sweep_2d,
     evaluate_scale_sweep,
+    featurize,
     gen_synthetic_clouds,
     gen_synthetic_images,
-    image_canonicalizer,
     rotation_about,
     rotation_grid_3d,
     softmax_curve,
@@ -372,19 +371,29 @@ class TestSoftmaxCurve:
         assert np.ptp(curve) <= 1e-8
 
 
-class TestCanonicalizerFactories:
-    """The factories package canonicalization as a plain datum -> datum map."""
+class TestFeaturize:
+    """featurize stacks canonical forms when the model canonicalizes."""
 
-    def test_cloud_canonicalizer_matches_function(self):
+    def test_cloud_rows_are_canonical_forms(self):
         rng = np.random.default_rng(18)
-        x = rng.normal(size=(12, 3))
-        out = cloud_canonicalizer()(x)
-        ref, _ = canonicalize_similarity(x)
-        np.testing.assert_array_equal(out, ref)
+        clouds = [rng.normal(size=(12, 3)) for _ in range(3)]
+        model = LinearSoftmaxModel(weights=np.zeros((4, 36)), bias=np.zeros(4),
+                                   kind="cloud", canonicalize="test_only")
+        feats = featurize(model, "cloud", clouds)
+        for row, x in zip(feats, clouds):
+            np.testing.assert_array_equal(row, canonicalize_similarity(x)[0].ravel())
 
-    def test_image_canonicalizer_scheme_threads_through(self):
+    def test_image_scheme_threads_through(self):
         data = gen_synthetic_images(seed=19, n_per_class=1, size=16)
         img = data.samples[0][0]
-        a = image_canonicalizer(scheme="nearest")(img)
-        b = image_canonicalizer(scheme="bilinear")(img)
-        assert not np.array_equal(a.pixels, b.pixels)
+        a = featurize(TrainConfig(canonicalize="train_and_test", scheme="nearest"),
+                      "image", [img])
+        b = featurize(TrainConfig(canonicalize="train_and_test", scheme="bilinear"),
+                      "image", [img])
+        assert not np.array_equal(a, b)
+
+    def test_training_skips_test_only_canonicalization(self):
+        data = gen_synthetic_clouds(seed=20, n_per_class=1)
+        clouds = [x for x, _ in data.samples]
+        feats = featurize(TrainConfig(canonicalize="test_only"), "cloud", clouds)
+        np.testing.assert_array_equal(feats, np.stack([x.ravel() for x in clouds]))

@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import struct
+
 import numpy as np
 import pytest
 
+from orbitcanon.audit import LabeledDataset, gen_synthetic_clouds, gen_synthetic_images
 from orbitcanon.cli import run
 from orbitcanon.cloud import canonicalize_similarity
 from orbitcanon.formats import (
@@ -10,6 +13,7 @@ from orbitcanon.formats import (
     read_pgm,
     read_report,
     read_xyz,
+    save_dataset,
     write_pgm,
     write_xyz,
 )
@@ -117,6 +121,18 @@ class TestCanonCloud:
         ref, _ = canonicalize_similarity(pts)
         np.testing.assert_allclose(read_xyz(out.read_text()), ref, atol=1e-12)
 
+    def test_far_offset_cloud(self, tmp_path):
+        pts = np.random.default_rng(215).normal(size=(64, 3))
+        near, far = tmp_path / "near.xyz", tmp_path / "far.xyz"
+        near.write_text(write_xyz(pts))
+        far.write_text(write_xyz(pts + 1e7))
+        for path in (near, far):
+            assert run(["canon-cloud", "--in", str(path),
+                        "--out", str(path.with_suffix(".canon"))]) == 0
+        np.testing.assert_allclose(read_xyz(far.with_suffix(".canon").read_text()),
+                                   read_xyz(near.with_suffix(".canon").read_text()),
+                                   atol=1e-7)
+
     def test_degenerate_cloud_exit_code(self, tmp_path):
         path = tmp_path / "flat.xyz"
         path.write_text(write_xyz(np.zeros((5, 3))))
@@ -210,6 +226,49 @@ class TestTrainAndAudit:
         code = run(["audit-rot2d", "--model", str(model_path),
                     "--data", str(images), "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+    # Byte offsets in the model file: sigma at 12, the first weight at 28,
+    # the last bias entry at -8.
+    @pytest.mark.parametrize("offset,value", [(28, float("nan")), (-8, float("inf")),
+                                              (12, 0.0), (12, float("nan"))])
+    def test_non_finite_model_is_data_error(self, tmp_path, capsys, offset, value):
+        """A model with a non-finite parameter or a sigma <= 0 is rejected
+        instead of audited."""
+        data = _gen(tmp_path, "clouds", seed=0, per_class=2)
+        model_path = tmp_path / "model.bin"
+        assert run(["train", "--data", str(data), "--epochs", "3", "--seed", "1",
+                    "--model", str(model_path)]) == 0
+        blob = bytearray(model_path.read_bytes())
+        struct.pack_into("<d", blob, offset % len(blob), value)
+        model_path.write_bytes(bytes(blob))
+        out = tmp_path / "scale.csv"
+        assert run(["audit-scale", "--model", str(model_path),
+                    "--data", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "model" in capsys.readouterr().err
+
+    def test_point_count_mismatch_names_both(self, tmp_path, capsys):
+        data = _gen(tmp_path, "clouds", seed=0, per_class=2)
+        model_path = tmp_path / "model.bin"
+        assert run(["train", "--data", str(data), "--epochs", "3", "--seed", "1",
+                    "--model", str(model_path)]) == 0
+        larger = tmp_path / "larger"
+        save_dataset(gen_synthetic_clouds(1, n_per_class=2, n_points=80), larger)
+        assert run(["audit-rot3d", "--model", str(model_path),
+                    "--data", str(larger), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "64-point clouds" in err and "80-point clouds" in err
+
+    def test_mixed_raster_sizes_name_both(self, tmp_path, capsys):
+        small = gen_synthetic_images(1, n_per_class=1, size=32)
+        large = gen_synthetic_images(1, n_per_class=1, size=48)
+        data = tmp_path / "mixed"
+        save_dataset(LabeledDataset(kind="image", samples=small.samples + large.samples,
+                                    class_names=small.class_names, seed=1), data)
+        assert run(["train", "--data", str(data), "--epochs", "3",
+                    "--model", str(tmp_path / "m.bin")]) == 2
+        err = capsys.readouterr().err
+        assert "32 x 32 rasters" in err and "48 x 48 rasters" in err
 
     def test_missing_data_dir_is_data_error(self, tmp_path):
         code = run(["train", "--data", str(tmp_path / "nope"),

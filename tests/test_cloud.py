@@ -245,6 +245,16 @@ class TestCanonicalizeSimilarity:
         with pytest.raises(DegenerateCloudError):
             canonicalize_similarity(np.tile([3.0, -1.0, 2.0], (5, 1)))
 
+    def test_far_offset_cloud(self):
+        """A shift by 1e7 (UTM northings are about 5e6 m) leaves the centered
+        cloud off-center by rounding; it still canonicalizes, agreeing with
+        the unshifted cloud to a few ulps of the offset."""
+        x = np.random.default_rng(215).normal(size=(64, 3))
+        base, _ = canonicalize_similarity(x)
+        far, frame = canonicalize_similarity(x + 1e7)
+        np.testing.assert_allclose(far, base, atol=1e-7)
+        np.testing.assert_allclose(frame.centroid, x.mean(axis=0) + 1e7, rtol=1e-15)
+
     def test_orbit_membership_via_frame(self):
         """The stored frame maps the raw input onto its canonical form."""
         rng = np.random.default_rng(210)

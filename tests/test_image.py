@@ -19,7 +19,6 @@ from orbitcanon.image import (
     canonicalize_image,
     gaussian_blur,
     mean_gradient,
-    model_gradient,
     rotate_image,
     smooth_model,
 )
@@ -160,7 +159,7 @@ class TestSmoothImageModel:
         model = SmoothImageModel(_ramp_z1(32))
         rng = np.random.default_rng(302)
         pts = rng.uniform(0.2, 0.8, size=(200, 2))
-        np.testing.assert_allclose(model_gradient(model, pts),
+        np.testing.assert_allclose(model.gradient(pts),
                                    np.broadcast_to([1.0, 0.0], (200, 2)),
                                    atol=1e-9)
 
@@ -168,7 +167,7 @@ class TestSmoothImageModel:
         model = SmoothImageModel(_ramp_z2(32))
         rng = np.random.default_rng(303)
         pts = rng.uniform(0.2, 0.8, size=(200, 2))
-        np.testing.assert_allclose(model_gradient(model, pts),
+        np.testing.assert_allclose(model.gradient(pts),
                                    np.broadcast_to([0.0, 1.0], (200, 2)),
                                    atol=1e-9)
 
@@ -176,7 +175,7 @@ class TestSmoothImageModel:
         model = SmoothImageModel(GrayImage(np.full((8, 8), 0.3)))
         rng = np.random.default_rng(304)
         pts = rng.random((50, 2))
-        np.testing.assert_array_equal(model_gradient(model, pts),
+        np.testing.assert_array_equal(model.gradient(pts),
                                       np.zeros((50, 2)))
 
     def test_gradient_matches_finite_differences(self):
@@ -187,7 +186,7 @@ class TestSmoothImageModel:
         model = smooth_model(img, 1.0)
         step = 1e-5
         pts = _interior_points(rng, 200, 16, margin=4.0 * step)
-        g = model_gradient(model, pts)
+        g = model.gradient(pts)
         for axis in range(2):
             e = np.zeros(2)
             e[axis] = step
