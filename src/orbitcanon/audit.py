@@ -32,7 +32,7 @@ featurize, the one place where the orbit mappings of cloud and image run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -259,18 +259,18 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.lam < 0.0 or self.weight_decay < 0.0:
-            raise ValueError("lam and weight_decay must be >= 0")
+        if not (0.0 <= self.lam < math.inf and 0.0 <= self.weight_decay < math.inf):
+            raise ValueError("lam and weight_decay must be finite and >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not (self.learning_rate > 0.0):
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.canonicalize not in CANON_MODES:
             raise ValueError(f"bad canonicalize setting {self.canonicalize!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not (self.sigma > 0.0):
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
 
 def rotation_about(axis: int, angle: float) -> np.ndarray:
@@ -366,30 +366,6 @@ def _per_sample_ce(model_w, model_b, feats, labels):
     return -logp[np.arange(len(labels)), labels]
 
 
-class _TransformSampler:
-    """Draws random orbit transforms and applies them to raw data.
-
-    Clouds draw uniformly from the 3-D audit grid; images draw a uniform
-    angle in [0, 2 pi) and rotate with the configured scheme.  Draw order
-    is fixed (per sample, then per candidate), which is what makes two
-    runs with the same seed — and the random_augment / adversarial@k=1
-    pair — consume identical random streams.
-    """
-
-    def __init__(self, kind: str, scheme: str, rng: np.random.Generator):
-        self.kind = kind
-        self.scheme = scheme
-        self.rng = rng
-        self._grid = [r for _, r in rotation_grid_3d()] if kind == "cloud" else None
-
-    def draw(self, datum):
-        if self.kind == "cloud":
-            R = self._grid[int(self.rng.integers(len(self._grid)))]
-            return np.asarray(datum) @ R
-        return rotate_image(datum, float(self.rng.uniform(0.0, 2.0 * np.pi)),
-                            self.scheme)
-
-
 def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxModel:
     """Fit the linear softmax head by plain minibatch gradient descent.
 
@@ -413,7 +389,19 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
 
     shuffle_rng, aug_rng = (np.random.default_rng(s)
                             for s in np.random.SeedSequence(cfg.seed).spawn(2))
-    sampler = _TransformSampler(data.kind, cfg.scheme, aug_rng)
+    grid = [r for _, r in rotation_grid_3d()] if data.kind == "cloud" else None
+
+    # One random orbit transform of a raw datum: clouds draw uniformly from
+    # the 3-D audit grid, images a uniform angle in [0, 2 pi) rotated with
+    # the configured scheme.  Draw order is fixed (per sample, then per
+    # candidate), which is what makes two runs with the same seed — and the
+    # random_augment / adversarial@k=1 pair — consume identical random streams.
+    def draw(datum):
+        if grid is not None:
+            return np.asarray(datum) @ grid[int(aug_rng.integers(len(grid)))]
+        return rotate_image(datum, float(aug_rng.uniform(0.0, 2.0 * np.pi)),
+                            cfg.scheme)
+
     k = 1 if cfg.mode == "random_augment" else cfg.k
     pairing = cfg.mode in ("adversarial_alp", "adversarial_kl") and cfg.lam > 0.0
 
@@ -431,7 +419,7 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
                 for row, sample_index in enumerate(idx):
                     datum = data.samples[sample_index][0]
                     cand = featurize(cfg, data.kind,
-                                     [sampler.draw(datum) for _ in range(k)])
+                                     [draw(datum) for _ in range(k)])
                     losses = _per_sample_ce(W, b, cand,
                                             np.full(k, yb[row]))
                     adv[row] = cand[int(np.argmax(losses))]
@@ -476,35 +464,24 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
 # Evaluation
 
 
-@dataclass
-class AuditReport:
+@dataclass(eq=False)  # keeps ReportDocument's array-aware __eq__
+class AuditReport(ReportDocument):
     """Accuracies of one model over one transform family.
 
-    curve[i] is the accuracy when every test input is hit with transform
-    grid[i]; `average` is the mean of the curve and `worst` the fraction
-    of samples classified correctly under every transform on the grid
-    (per_sample_worst holds that flag per sample).  `clean` is accuracy
-    on untransformed inputs.
+    The ReportDocument that write_report serializes, plus per_sample_worst:
+    whether each sample is classified correctly under every transform on
+    the grid.  curve[i] is the accuracy when every test input is hit with
+    transform grid[i]; `average` is the mean of the curve, `worst` the
+    mean of per_sample_worst and `clean` the accuracy on untransformed
+    inputs.
     """
 
-    kind: str
-    scheme: str
-    canonicalized: bool
-    n_samples: int
-    clean: float
-    average: float
-    worst: float
-    grid: tuple[str, ...]
-    curve: np.ndarray
     per_sample_worst: np.ndarray
-    mode: str = ""
 
     def document(self) -> ReportDocument:
-        return ReportDocument(kind=self.kind, mode=self.mode, scheme=self.scheme,
-                              canonicalized=self.canonicalized,
-                              n_samples=self.n_samples, clean=self.clean,
-                              average=self.average, worst=self.worst,
-                              grid=self.grid, curve=np.asarray(self.curve, float))
+        """The report without per_sample_worst, as a plain ReportDocument."""
+        return ReportDocument(**{f.name: getattr(self, f.name)
+                                 for f in fields(ReportDocument)})
 
 
 def _sweep(model, data, transforms, kind, scheme) -> AuditReport:
@@ -542,8 +519,6 @@ def evaluate_rotation_sweep_2d(model, data: LabeledDataset,
     attack side); the model's own canonicalization scheme is whatever it
     was trained with.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     transforms = [
         (str(deg), (lambda img, a=math.radians(deg): rotate_image(img, a, scheme)))
         for deg in range(360)

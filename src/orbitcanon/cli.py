@@ -5,8 +5,10 @@ generation, training, the three audits, probability curves, and a
 self-verification suite.  All outputs are byte-deterministic given
 identical inputs and flags.  Exit codes: 0 success, 1 usage error,
 2 data error, 3 degenerate-input hard failure, 4 selftest failure.
-Data errors include model files with non-finite parameters and inputs
-whose size differs from the model's or from the rest of their dataset.
+Usage errors include non-finite hyperparameters and curve labels outside
+the model's classes.  Data errors include model files with non-finite
+parameters and inputs whose size differs from the model's or from the
+rest of their dataset.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .groups import (check_group_axioms, equivariant_average, equivariant_canon,
 from .image import (GrayImage, SCHEMES, canonical_angle, canonicalize_image,
                     gaussian_blur, mean_gradient, rotate_image, smooth_model)
 from .vectors import MeanShiftMapping, SortMapping, sort_canonicalize, sort_energy
-
-_F17 = "{:.17g}".format
 
 _MODE_NAMES = {"plain": "plain", "ra": "random_augment", "adv": "adversarial",
                "mixed": "mixed", "adv-alp": "adversarial_alp",
@@ -114,21 +114,17 @@ def _read_cloud_file(path: Path) -> np.ndarray:
 
 
 def _cmd_canon_image(args) -> int:
-    if not (args.sigma > 0.0):
-        raise _UsageError(f"--sigma must be positive, got {args.sigma}")
+    if not 0.0 < args.sigma < math.inf:
+        raise _UsageError(f"--sigma must be positive and finite, got {args.sigma}")
     img = _formats.read_pgm(Path(args.infile).read_bytes())
     res = canonicalize_image(img, scheme=args.scheme, sigma=args.sigma)
     Path(args.outfile).write_bytes(_formats.write_pgm(res.canonical))
     if args.report:
-        lines = [
+        Path(args.report).write_text(_formats.write_table(
             "# orbitcanon canon-image v1",
-            f"# scheme={args.scheme}",
-            f"# sigma={_F17(args.sigma)}",
+            {"scheme": args.scheme, "sigma": args.sigma},
             "alpha_radians,gradient_magnitude,degenerate",
-            f"{_F17(res.element)},{_F17(res.energy)},"
-            f"{'true' if res.degenerate else 'false'}",
-        ]
-        Path(args.report).write_text("\n".join(lines) + "\n")
+            [(res.element, res.energy, res.degenerate)]))
     return 0
 
 
@@ -137,18 +133,12 @@ def _cmd_canon_cloud(args) -> int:
     canonical, frame = canonicalize_similarity(X)
     Path(args.outfile).write_text(_formats.write_xyz(canonical))
     if args.frame:
-        rows = [
+        rows = [("centroid", *frame.centroid), ("scale", frame.scale, "", ""),
+                ("signs", *frame.signs), ("singular_values", *frame.singular_values)]
+        rows += [(f"basis_row{i}", *frame.basis[i]) for i in range(3)]
+        Path(args.frame).write_text(_formats.write_table(
             "# orbitcanon canon-cloud frame v1",
-            f"# degenerate={'true' if frame.degenerate else 'false'}",
-            "field,x,y,z",
-            "centroid," + ",".join(_F17(v) for v in frame.centroid),
-            "scale," + _F17(frame.scale) + ",,",
-            "signs," + ",".join(_F17(v) for v in frame.signs),
-            "singular_values," + ",".join(_F17(v) for v in frame.singular_values),
-        ]
-        for i in range(3):
-            rows.append(f"basis_row{i}," + ",".join(_F17(v) for v in frame.basis[i]))
-        Path(args.frame).write_text("\n".join(rows) + "\n")
+            {"degenerate": frame.degenerate}, "field,x,y,z", rows))
     return 0
 
 
@@ -188,7 +178,7 @@ def _cmd_audit(args, which: str) -> int:
         report = _audit.evaluate_rotation_grid_3d(model, data)
     else:
         report = _audit.evaluate_scale_sweep(model, data)
-    Path(args.outfile).write_text(_formats.write_report(report.document()))
+    Path(args.outfile).write_text(_formats.write_report(report))
     return 0
 
 
@@ -204,20 +194,21 @@ def _cmd_curve(args) -> int:
         label = int(model.predict(_audit.featurize(model, model.kind, [datum]))[0])
     else:
         label = args.label
+        n_classes = model.weights.shape[0]
+        if not 0 <= label < n_classes:
+            raise _UsageError(f"--label {label} is not a class of this "
+                              f"{n_classes}-class model (0..{n_classes - 1})")
     if model.kind == "image":
         angles = np.radians(np.arange(360.0))
     else:
         angles = 2.0 * np.pi * np.arange(16) / 16.0
     probs = _audit.softmax_curve(model, (datum, label), angles, scheme=args.scheme)
-    lines = ["# orbitcanon curve v1",
-             f"# kind={model.kind}",
-             f"# label={label}",
-             f"# scheme={args.scheme}",
-             "index,angle_degrees,probability"]
-    for i, p in enumerate(probs):
-        deg = math.degrees(float(angles[i]))
-        lines.append(f"{i},{_F17(deg)},{_F17(float(p))}")
-    Path(args.outfile).write_text("\n".join(lines) + "\n")
+    rows = [(i, math.degrees(float(a)), float(p))
+            for i, (a, p) in enumerate(zip(angles, probs))]
+    Path(args.outfile).write_text(_formats.write_table(
+        "# orbitcanon curve v1",
+        {"kind": model.kind, "label": label, "scheme": args.scheme},
+        "index,angle_degrees,probability", rows))
     return 0
 
 

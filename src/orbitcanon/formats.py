@@ -3,12 +3,12 @@
 Readers validate aggressively and raise ValueError with a location when
 the input is malformed; writers are byte-deterministic so that identical
 inputs always serialize to identical files.  Floats are written with 17
-significant digits, which round-trips IEEE doubles exactly.
+significant digits, which round-trips IEEE doubles exactly.  Reports,
+dataset manifests and the CLI's side files all use write_table's layout.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +21,7 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 _MODEL_MAGIC = b"OCLM0001"
+_MODEL_HEAD = "<8sBBBBd II"
 
 _F17 = "{:.17g}".format
 
@@ -248,6 +249,10 @@ def read_off(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Audit reports
 
+# The report's metadata keys, in the order write_report writes them.
+_REPORT_KEYS = ("kind", "mode", "scheme", "canonicalized", "n_samples",
+                "clean", "average", "worst")
+
 
 @dataclass
 class ReportDocument:
@@ -272,39 +277,48 @@ class ReportDocument:
     def __eq__(self, other):
         if not isinstance(other, ReportDocument):
             return NotImplemented
-        return (self.kind == other.kind and self.mode == other.mode
-                and self.scheme == other.scheme
-                and self.canonicalized == other.canonicalized
-                and self.n_samples == other.n_samples
-                and self.clean == other.clean
-                and self.average == other.average
-                and self.worst == other.worst
+        return (all(getattr(self, key) == getattr(other, key) for key in _REPORT_KEYS)
                 and self.grid == other.grid
                 and np.array_equal(self.curve, other.curve))
 
 
-def write_report(doc: ReportDocument) -> str:
-    """Serialize a report as CSV with a '#'-prefixed metadata preamble.
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return _F17(float(value))
+    return str(value)
 
-    Floats carry 17 significant digits so reading the file back
-    reproduces the summary numbers exactly.
+
+def write_table(title, meta, header, rows) -> str:
+    """Serialize a CSV table with a '#'-prefixed metadata preamble.
+
+    Writes the title line (skipped when None), one '# key=value' line per
+    item of the `meta` mapping, the `header` line, then one line per row
+    of cells.  Flags are written as true/false, floats with 17 significant
+    digits and everything else through str, so reading the file back
+    reproduces every number exactly.
+    """
+    lines = [] if title is None else [title]
+    lines += [f"# {key}={_cell(value)}" for key, value in meta.items()]
+    lines.append(header)
+    lines += [",".join(_cell(value) for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_report(doc: ReportDocument) -> str:
+    """Serialize a report as a write_table table titled 'orbitcanon report v1'.
+
+    The preamble holds the summary fields, and each row an index, the
+    transform label and the accuracy under that transform.
     """
     if len(doc.grid) != len(doc.curve):
         raise ValueError("grid and curve lengths differ")
-    out = io.StringIO()
-    out.write("# orbitcanon report v1\n")
-    out.write(f"# kind={doc.kind}\n")
-    out.write(f"# mode={doc.mode}\n")
-    out.write(f"# scheme={doc.scheme}\n")
-    out.write(f"# canonicalized={'true' if doc.canonicalized else 'false'}\n")
-    out.write(f"# n_samples={doc.n_samples}\n")
-    out.write(f"# clean={_F17(doc.clean)}\n")
-    out.write(f"# average={_F17(doc.average)}\n")
-    out.write(f"# worst={_F17(doc.worst)}\n")
-    out.write("index,transform,accuracy\n")
-    for i, (label, acc) in enumerate(zip(doc.grid, doc.curve)):
-        out.write(f"{i},{label},{_F17(float(acc))}\n")
-    return out.getvalue()
+    return write_table("# orbitcanon report v1",
+                       {key: getattr(doc, key) for key in _REPORT_KEYS},
+                       "index,transform,accuracy",
+                       ((i, label, float(acc))
+                        for i, (label, acc) in enumerate(zip(doc.grid, doc.curve))))
 
 
 def _read_table(text: str, header: str, where: str):
@@ -347,9 +361,7 @@ def read_report(text: str) -> ReportDocument:
             rows.append((int(parts[0]), parts[1], float(parts[2])))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed row") from None
-    required = ("kind", "mode", "scheme", "canonicalized", "n_samples",
-                "clean", "average", "worst")
-    missing = [k for k in required if k not in meta]
+    missing = [k for k in _REPORT_KEYS if k not in meta]
     if missing:
         raise ValueError(f"missing metadata keys: {', '.join(missing)}")
     if not saw_header:
@@ -400,7 +412,7 @@ def save_model(model) -> bytes:
     if W.ndim != 2 or b.shape != (W.shape[0],):
         raise ValueError("weights must be C x F with a length-C bias")
     head = struct.pack(
-        "<8sBBBBd II",
+        _MODEL_HEAD,
         _MODEL_MAGIC,
         KINDS.index(model.kind),
         CANON_MODES.index(model.canonicalize),
@@ -418,12 +430,11 @@ def load_model(data: bytes):
     # deferred: import cycle
     from .audit import CANON_MODES, KINDS, MODES, LinearSoftmaxModel
 
-    head_fmt = "<8sBBBBd II"
-    head_size = struct.calcsize(head_fmt)
+    head_size = struct.calcsize(_MODEL_HEAD)
     if len(data) < head_size:
         raise ValueError("truncated model file")
     magic, kind_code, canon_code, scheme_code, mode_code, sigma, n_classes, \
-        n_features = struct.unpack(head_fmt, data[:head_size])
+        n_features = struct.unpack(_MODEL_HEAD, data[:head_size])
     if magic != _MODEL_MAGIC:
         raise ValueError(f"bad model magic {magic!r}")
     if kind_code >= len(KINDS):
@@ -462,16 +473,14 @@ def load_model(data: bytes):
 def save_dataset(data, directory) -> None:
     """Write a labeled dataset as one file per sample plus a manifest.
 
-    Images become PGM files, clouds XYZ files; manifest.csv lists
-    filename, numeric label and class name, with kind and seed kept in
-    '#' metadata lines.
+    Images become PGM files, clouds XYZ files; manifest.csv is a
+    write_table table of filename, numeric label and class name, with
+    kind, seed and the class names kept in its metadata.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    lines = [f"# kind={data.kind}", f"# seed={data.seed}",
-             "# classes=" + "|".join(data.class_names),
-             "filename,label,class_name"]
     ext = "pgm" if data.kind == "image" else "xyz"
+    rows = []
     for i, (datum, label) in enumerate(data.samples):
         name = f"sample_{i:05d}.{ext}"
         path = root / name
@@ -479,8 +488,10 @@ def save_dataset(data, directory) -> None:
             path.write_bytes(write_pgm(datum, maxval=65535))
         else:
             path.write_text(write_xyz(datum))
-        lines.append(f"{name},{label},{data.class_names[label]}")
-    (root / "manifest.csv").write_text("\n".join(lines) + "\n")
+        rows.append((name, label, data.class_names[label]))
+    meta = {"kind": data.kind, "seed": data.seed, "classes": "|".join(data.class_names)}
+    (root / "manifest.csv").write_text(
+        write_table(None, meta, "filename,label,class_name", rows))
 
 
 def load_dataset(directory):

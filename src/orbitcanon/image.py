@@ -84,10 +84,11 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     """Separable Gaussian blur with edge replication.
 
     Kernel radius is ceil(3 * sigma); taps are normalized to sum to 1, so
-    a constant image is exactly preserved.  sigma must be positive.
+    a constant image is exactly preserved.  sigma must be positive and
+    finite.
     """
-    if not (sigma > 0.0):
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     radius = int(math.ceil(3.0 * sigma))
     offsets = np.arange(-radius, radius + 1, dtype=float)
     taps = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
@@ -236,8 +237,8 @@ def rotate_image(img: GrayImage, alpha: float, scheme: str = "bilinear") -> Gray
     scheme (nearest, bilinear, or bicubic with the Catmull-Rom kernel).
     Source samples falling outside the unit square give 0; interpolation
     stencils reaching past the raster clamp to the border row/column.
-    Output values are clamped to [0, 1], and alpha = 0 reproduces the
-    input bit for bit under every scheme.
+    Output values are clamped to [0, 1] (by GrayImage), and alpha = 0
+    reproduces the input bit for bit under every scheme.
     """
     _check_scheme(scheme)
     n = _require_square(img)
@@ -284,7 +285,7 @@ def rotate_image(img: GrayImage, alpha: float, scheme: str = "bilinear") -> Gray
                 cc = np.clip(c0 + dc, 0, n - 1)
                 acc += wr[i] * wc[j] * p[rr, cc]
         out[inside] = acc[inside]
-    return GrayImage(np.clip(out, 0.0, 1.0))
+    return GrayImage(out)
 
 
 def _catmull_rom_weights(t):
@@ -304,20 +305,21 @@ def _catmull_rom_weights(t):
 
 
 def canonicalize_image(img: GrayImage, scheme: str = "bilinear",
-                       sigma: float = 1.0,
-                       threshold: float = GRADIENT_THRESHOLD) -> CanonResult:
+                       sigma: float = 1.0) -> CanonResult:
     """Rotate an image into its canonical orientation.
 
     Estimates the orientation angle from the blurred model's mean gradient
     and resamples the original (unblurred) image by that angle; the blur
     feeds only the angle estimate.  Degenerate images (mean gradient at or
-    below threshold) are returned unrotated with the flag set.  The
-    element of the result is the applied angle alpha; its energy is the
-    mean gradient magnitude.
+    below GRADIENT_THRESHOLD) are returned unrotated with the flag set.
+    The element of the result is the applied angle alpha; its energy is
+    the mean gradient magnitude.  An unknown scheme raises ValueError for
+    every image, degenerate or not.
     """
     _require_square(img)
+    _check_scheme(scheme)
     mg = mean_gradient(smooth_model(img, sigma))
-    alpha, degenerate = canonical_angle(mg, threshold)
+    alpha, degenerate = canonical_angle(mg)
     if degenerate:
         return CanonResult(canonical=img, element=0.0, degenerate=True,
                            energy=mg.magnitude)
@@ -332,15 +334,12 @@ class RotationMapping:
     apply(alpha, img) = rotate_image(img, alpha, scheme).
     """
 
-    def __init__(self, scheme: str = "bilinear", sigma: float = 1.0,
-                 threshold: float = GRADIENT_THRESHOLD):
+    def __init__(self, scheme: str = "bilinear", sigma: float = 1.0):
         self.scheme = _check_scheme(scheme)
         self.sigma = sigma
-        self.threshold = threshold
 
     def __call__(self, img: GrayImage) -> CanonResult:
-        return canonicalize_image(img, scheme=self.scheme, sigma=self.sigma,
-                                  threshold=self.threshold)
+        return canonicalize_image(img, scheme=self.scheme, sigma=self.sigma)
 
     def apply(self, alpha: float, img: GrayImage) -> GrayImage:
         return rotate_image(img, alpha, self.scheme)

@@ -22,6 +22,7 @@ from orbitcanon.audit import (
     train_classifier,
 )
 from orbitcanon.cloud import canonicalize_similarity
+from orbitcanon.formats import ReportDocument, write_report
 from orbitcanon.image import GRADIENT_THRESHOLD, GrayImage, mean_gradient, smooth_model
 
 CLOUD_CLASSES = ("shell", "box", "tube", "cross")
@@ -133,6 +134,12 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(weight_decay=-1e-3)
+
+    @pytest.mark.parametrize("field", ["lam", "weight_decay", "learning_rate", "sigma"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_rejects_non_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**{field: value})
 
     def test_rejects_bad_canonicalize(self):
         with pytest.raises(ValueError):
@@ -300,6 +307,19 @@ class TestEvaluate3D:
         assert doc.mode == "mixed"
         assert doc.kind == "rotation3d"
         np.testing.assert_array_equal(doc.curve, report.curve)
+
+
+    def test_report_is_its_document(self):
+        """An AuditReport is the ReportDocument it serializes as, with the
+        per-sample flags on top."""
+        data = gen_synthetic_clouds(seed=13, n_per_class=3)
+        report = evaluate_scale_sweep(_constant_model(data), data)
+        doc = report.document()
+        assert isinstance(report, ReportDocument)
+        assert type(doc) is ReportDocument
+        assert report == doc and doc == report
+        assert write_report(report) == write_report(doc)
+        np.testing.assert_array_equal(report.per_sample_worst, data.labels() == 0)
 
 
 class TestEvaluate2D:

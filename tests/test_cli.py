@@ -64,6 +64,13 @@ class TestCanonImage:
                     "--out", str(tmp_path / "o.pgm"), "--sigma", "0"])
         assert code == 1
 
+    def test_infinite_sigma_is_usage_error(self, tmp_path, image_file):
+        infile, _ = image_file
+        out, report = tmp_path / "o.pgm", tmp_path / "r.csv"
+        assert run(["canon-image", "--in", str(infile), "--out", str(out),
+                    "--sigma", "inf", "--report", str(report)]) == 1
+        assert not out.exists() and not report.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         code = run(["canon-image", "--in", str(tmp_path / "nope.pgm"),
                     "--out", str(tmp_path / "o.pgm")])
@@ -270,6 +277,22 @@ class TestTrainAndAudit:
         err = capsys.readouterr().err
         assert "32 x 32 rasters" in err and "48 x 48 rasters" in err
 
+    @pytest.mark.parametrize("kind,flags", [
+        ("clouds", ["--sigma", "inf"]),
+        ("images", ["--sigma", "inf", "--canon", "train"]),
+        ("clouds", ["--mode", "adv-kl", "--lambda", "nan"]),
+        ("clouds", ["--weight-decay", "nan"]),
+        ("clouds", ["--lr", "inf"]),
+    ], ids=["cloud-sigma", "image-sigma", "lambda", "weight-decay", "lr"])
+    def test_non_finite_hyperparameter_is_usage_error(self, tmp_path, capsys,
+                                                       kind, flags):
+        data = _gen(tmp_path, kind, seed=0, per_class=1)
+        model_path = tmp_path / "m.bin"
+        assert run(["train", "--data", str(data), "--epochs", "3", "--k", "2",
+                    "--model", str(model_path)] + flags) == 1
+        assert not model_path.exists()
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_data_dir_is_data_error(self, tmp_path):
         code = run(["train", "--data", str(tmp_path / "nope"),
                     "--mode", "plain", "--model", str(tmp_path / "m.bin")])
@@ -315,6 +338,50 @@ class TestCurve:
                 if line and not line.startswith("#")
                 and not line.startswith("index")]
         assert len(rows) == 360
+
+
+    @pytest.mark.parametrize("label", ["9", "-1"])
+    def test_label_outside_classes_is_usage_error(self, tmp_path, capsys, label):
+        data = _gen(tmp_path, "clouds", seed=0, per_class=2)
+        model_path = tmp_path / "model.bin"
+        assert run(["train", "--data", str(data), "--epochs", "3", "--seed", "1",
+                    "--model", str(model_path)]) == 0
+        out = tmp_path / "curve.csv"
+        assert run(["curve", "--model", str(model_path),
+                    "--sample", str(sorted(data.glob("*.xyz"))[0]),
+                    "--out", str(out), "--label", label]) == 1
+        assert not out.exists()
+        assert "4-class model" in capsys.readouterr().err
+
+
+class TestRerunBytes:
+    def test_side_files_audits_and_curves(self, tmp_path):
+        """Running each writer twice into separate files gives the same
+        bytes: the audits, curve and the canon-image and canon-cloud side
+        files (criterion 10 covers gen-data, train and audit-scale)."""
+        clouds = _gen(tmp_path, "clouds", seed=0, per_class=2)
+        images = _gen(tmp_path, "images", seed=0, per_class=1)
+        for kind, data in (("cloud", clouds), ("image", images)):
+            assert run(["train", "--data", str(data), "--mode", "ra", "--k", "2",
+                        "--epochs", "3", "--seed", "1",
+                        "--model", str(tmp_path / f"{kind}.bin")]) == 0
+        xyz, pgm = sorted(clouds.glob("*.xyz"))[0], sorted(images.glob("*.pgm"))[0]
+        commands = [
+            ["audit-rot3d", "--model", tmp_path / "cloud.bin", "--data", clouds,
+             "--out"],
+            ["audit-rot2d", "--model", tmp_path / "image.bin", "--data", images,
+             "--scheme", "nearest", "--out"],
+            ["curve", "--model", tmp_path / "cloud.bin", "--sample", xyz, "--out"],
+            ["curve", "--model", tmp_path / "image.bin", "--sample", pgm,
+             "--label", "1", "--out"],
+            ["canon-image", "--in", pgm, "--out", tmp_path / "c.pgm", "--report"],
+            ["canon-cloud", "--in", xyz, "--out", tmp_path / "c.xyz", "--frame"],
+        ]
+        for n, command in enumerate(commands):
+            outputs = [tmp_path / f"out{n}_{run_no}.csv" for run_no in (0, 1)]
+            for path in outputs:
+                assert run([str(arg) for arg in command + [path]]) == 0
+            assert outputs[0].read_bytes() == outputs[1].read_bytes(), command[0]
 
 
 class TestSelftest:

@@ -25,6 +25,7 @@ from orbitcanon.formats import (
     save_model,
     write_pgm,
     write_report,
+    write_table,
     write_xyz,
 )
 from orbitcanon.image import GrayImage
@@ -222,6 +223,52 @@ class TestReportDocument:
         assert again.clean == doc.clean
         assert again.worst == doc.worst
         np.testing.assert_array_equal(again.curve, doc.curve)
+
+
+class TestWriteTable:
+    # A flag, a float that needs 17 digits, an int and an empty cell, each
+    # as a Python value and as a numpy scalar.
+    ROWS = [("a", True, 0.1, 7, ""), ("b", np.bool_(False), np.float64(2 / 3),
+                                      np.int64(-3), "x")]
+
+    def test_titled_bytes(self):
+        text = write_table("# demo v1", {"flag": False, "rate": 1 / 3, "n": 12,
+                                         "name": "grid"},
+                           "field,on,value,count,note", self.ROWS)
+        assert text == ("# demo v1\n"
+                        "# flag=false\n"
+                        "# rate=0.33333333333333331\n"
+                        "# n=12\n"
+                        "# name=grid\n"
+                        "field,on,value,count,note\n"
+                        "a,true,0.10000000000000001,7,\n"
+                        "b,false,0.66666666666666663,-3,x\n")
+
+    def test_untitled_bytes(self):
+        text = write_table(None, {"seed": 7}, "field,on,value,count,note", self.ROWS)
+        assert text == ("# seed=7\n"
+                        "field,on,value,count,note\n"
+                        "a,true,0.10000000000000001,7,\n"
+                        "b,false,0.66666666666666663,-3,x\n")
+
+    def test_report_bytes(self):
+        doc = ReportDocument(kind="scale", mode="adversarial", scheme="",
+                             canonicalized=False, n_samples=3, clean=2 / 3,
+                             average=0.5, worst=1 / 3, grid=("0.5", "1", "2"),
+                             curve=np.array([2 / 3, 0.5, 1 / 3]))
+        assert write_report(doc) == ("# orbitcanon report v1\n"
+                                     "# kind=scale\n"
+                                     "# mode=adversarial\n"
+                                     "# scheme=\n"
+                                     "# canonicalized=false\n"
+                                     "# n_samples=3\n"
+                                     "# clean=0.66666666666666663\n"
+                                     "# average=0.5\n"
+                                     "# worst=0.33333333333333331\n"
+                                     "index,transform,accuracy\n"
+                                     "0,0.5,0.66666666666666663\n"
+                                     "1,1,0.5\n"
+                                     "2,2,0.33333333333333331\n")
 
 
 class TestModelBlob:

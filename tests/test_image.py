@@ -90,6 +90,11 @@ class TestGaussianBlur:
         with pytest.raises(ValueError):
             gaussian_blur(img, -1.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_blur(GrayImage(np.zeros((4, 4))), sigma)
+
     def test_constant_invariance(self):
         img = GrayImage(np.full((7, 7), 0.5))
         for sigma in (0.5, 1.0, 2.5):
@@ -355,6 +360,12 @@ class TestCanonicalizeImage:
         assert res.degenerate
         assert res.element == 0.0
         np.testing.assert_array_equal(res.canonical.pixels, img.pixels)
+
+    @pytest.mark.parametrize("img", [GrayImage(np.full((8, 8), 0.5)), _ramp_z1(8)],
+                             ids=["degenerate", "textured"])
+    def test_unknown_scheme_rejected(self, img):
+        with pytest.raises(ValueError, match="unknown interpolation scheme"):
+            canonicalize_image(img, scheme="bogus")
 
     def test_ramp_prerotated_30_degrees(self):
         """The recovered angle undoes a 30-degree pre-rotation and the two
