@@ -299,7 +299,7 @@ def rotation_grid_3d(steps: int = GRID_STEPS_3D) -> list[tuple[str, np.ndarray]]
 
 
 def featurize(spec, kind: str, data) -> np.ndarray:
-    """Stack a sequence of data into a feature matrix, one raveled datum a row.
+    """Stack an iterable of data into a feature matrix, one raveled datum a row.
 
     spec is a TrainConfig while training and the LinearSoftmaxModel being
     fed otherwise.  Each datum first goes through the mapping of its kind
@@ -415,14 +415,13 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
             else:
                 # Worst of k freshly drawn transforms per sample, judged by
                 # the sample's current loss.  k is 1 for random_augment.
-                adv = np.empty((len(idx), n_features))
-                for row, sample_index in enumerate(idx):
-                    datum = data.samples[sample_index][0]
-                    cand = featurize(cfg, data.kind,
-                                     [draw(datum) for _ in range(k)])
-                    losses = _per_sample_ce(W, b, cand,
-                                            np.full(k, yb[row]))
-                    adv[row] = cand[int(np.argmax(losses))]
+                # The batch's candidates are featurized and scored together,
+                # k consecutive rows per sample.
+                cand = featurize(cfg, data.kind, (draw(data.samples[i][0])
+                                                  for i in idx for _ in range(k)))
+                losses = _per_sample_ce(W, b, cand, np.repeat(yb, k))
+                worst = np.argmax(losses.reshape(len(idx), k), axis=1)
+                adv = cand[np.arange(len(idx)) * k + worst]
                 gW, gb, z_adv = _ce_grad(W, b, adv, yb)
                 if cfg.mode == "mixed":
                     gW2, gb2, _ = _ce_grad(W, b, clean_feats[idx], yb)
@@ -484,7 +483,13 @@ class AuditReport(ReportDocument):
                                  for f in fields(ReportDocument)})
 
 
-def _sweep(model, data, transforms, kind, scheme) -> AuditReport:
+def _sweep(model, data, audit, kind, grid, move, scheme) -> AuditReport:
+    """Audit model on data moved by move(datum, parameter) at every
+    (label, parameter) of grid.  audit names the transform family in the
+    report and kind the data it is defined for."""
+    if data.kind != kind:
+        raise ValueError(f"the {audit} audit is defined for {kind} data, "
+                         f"not {data.kind} data")
     if len(data) == 0:
         raise ValueError("empty dataset")
     if data.kind != model.kind:
@@ -493,20 +498,19 @@ def _sweep(model, data, transforms, kind, scheme) -> AuditReport:
     inputs = [datum for datum, _ in data.samples]
     clean_pred = model.predict(featurize(model, model.kind, inputs))
     clean = float(np.mean(clean_pred == labels))
-    correct = np.empty((len(data), len(transforms)), dtype=bool)
-    grid_labels = []
-    for gi, (label, transform) in enumerate(transforms):
-        feats = featurize(model, model.kind, [transform(datum) for datum in inputs])
+    correct = np.empty((len(data), len(grid)), dtype=bool)
+    for gi, (_, parameter) in enumerate(grid):
+        feats = featurize(model, model.kind,
+                          (move(datum, parameter) for datum in inputs))
         correct[:, gi] = model.predict(feats) == labels
-        grid_labels.append(label)
     curve = correct.mean(axis=0)
     per_sample_worst = correct.all(axis=1)
-    return AuditReport(kind=kind, scheme=scheme,
+    return AuditReport(kind=audit, scheme=scheme,
                        canonicalized=model.canonicalize != "off",
                        n_samples=len(data), clean=clean,
                        average=float(curve.mean()),
                        worst=float(per_sample_worst.mean()),
-                       grid=tuple(grid_labels), curve=curve,
+                       grid=tuple(label for label, _ in grid), curve=curve,
                        per_sample_worst=per_sample_worst,
                        mode=model.mode)
 
@@ -519,35 +523,21 @@ def evaluate_rotation_sweep_2d(model, data: LabeledDataset,
     attack side); the model's own canonicalization scheme is whatever it
     was trained with.
     """
-    transforms = [
-        (str(deg), (lambda img, a=math.radians(deg): rotate_image(img, a, scheme)))
-        for deg in range(360)
-    ]
-    return _sweep(model, data, transforms, "rotation2d", scheme)
+    grid = [(str(deg), math.radians(deg)) for deg in range(360)]
+    return _sweep(model, data, "rotation2d", "image", grid,
+                  lambda img, angle: rotate_image(img, angle, scheme), scheme)
 
 
 def evaluate_rotation_grid_3d(model, data: LabeledDataset) -> AuditReport:
     """Accuracy under the full 3-D rotation grid (see rotation_grid_3d)."""
-    transforms = [
-        (label, (lambda X, R=R: np.asarray(X) @ R))
-        for label, R in rotation_grid_3d()
-    ]
-    return _sweep(model, data, transforms, "rotation3d", "")
+    return _sweep(model, data, "rotation3d", "cloud", rotation_grid_3d(),
+                  np.matmul, "")
 
 
 def evaluate_scale_sweep(model, data: LabeledDataset) -> AuditReport:
     """Accuracy under global rescaling of cloud coordinates."""
-    if data.kind != "cloud":
-        raise ValueError("scale sweep is defined for cloud data")
-    transforms = [
-        (_fmt_scale(s), (lambda X, s=s: np.asarray(X) * s))
-        for s in SCALE_FACTORS
-    ]
-    return _sweep(model, data, transforms, "scale", "")
-
-
-def _fmt_scale(s: float) -> str:
-    return f"{s:g}"
+    grid = [(f"{s:g}", s) for s in SCALE_FACTORS]
+    return _sweep(model, data, "scale", "cloud", grid, np.multiply, "")
 
 
 def softmax_curve(model, sample, angles, scheme: str = "bilinear") -> np.ndarray:

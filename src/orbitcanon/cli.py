@@ -7,8 +7,8 @@ identical inputs and flags.  Exit codes: 0 success, 1 usage error,
 2 data error, 3 degenerate-input hard failure, 4 selftest failure.
 Usage errors include non-finite hyperparameters and curve labels outside
 the model's classes.  Data errors include model files with non-finite
-parameters and inputs whose size differs from the model's or from the
-rest of their dataset.
+parameters, inputs whose size differs from the model's or from the
+rest of their dataset, and audits of a kind of data they do not take.
 """
 
 from __future__ import annotations
@@ -74,7 +74,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the linear softmax classifier")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="plain")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=10,
+                   help="transforms drawn per sample for adv, mixed, adv-alp "
+                        "and adv-kl, which train on the worst; ra draws one "
+                        "and ignores --k")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--canon", choices=sorted(_CANON_NAMES), default="off")
     p.add_argument("--seed", type=int, default=0)

@@ -504,7 +504,13 @@ def load_dataset(directory):
         raise ValueError(f"no manifest.csv under {root}")
     meta, table, _ = _read_table(manifest.read_text(), "filename,label,class_name",
                                  "manifest line")
-    rows = [(parts[0], int(parts[1])) for _, parts in table]
+    rows = []
+    for lineno, (name, label, _) in table:
+        try:
+            rows.append((name, int(label)))
+        except ValueError:
+            raise ValueError(f"manifest line {lineno}: label {label!r} "
+                             "is not an integer") from None
     kind = meta.get("kind")
     if kind not in KINDS:
         raise ValueError(f"manifest kind {kind!r} is not 'image' or 'cloud'")

@@ -23,7 +23,8 @@ from orbitcanon.audit import (
 )
 from orbitcanon.cloud import canonicalize_similarity
 from orbitcanon.formats import ReportDocument, write_report
-from orbitcanon.image import GRADIENT_THRESHOLD, GrayImage, mean_gradient, smooth_model
+from orbitcanon.image import (GRADIENT_THRESHOLD, GrayImage, mean_gradient,
+                              rotate_image, smooth_model)
 
 CLOUD_CLASSES = ("shell", "box", "tube", "cross")
 
@@ -154,7 +155,65 @@ class TestTrainConfig:
                          "adversarial_alp", "adversarial_kl")
 
 
+def _log_softmax(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _worst_of_k_reference(data, cfg):
+    """Adversarial training one sample at a time: each sample of a minibatch
+    draws its k transforms, is featurized and scored on its own, and keeps
+    the candidate of highest loss; one gradient step per minibatch follows.
+    Draws and shuffles come from the trainer's seeded streams in its order."""
+    clean = featurize(cfg, data.kind, [datum for datum, _ in data.samples])
+    labels = data.labels()
+    W = np.zeros((data.n_classes, clean.shape[1]))
+    b = np.zeros(data.n_classes)
+    shuffle_rng, aug_rng = (np.random.default_rng(s)
+                            for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    grid = [r for _, r in rotation_grid_3d()]
+
+    def draw(datum):
+        if data.kind == "cloud":
+            return np.asarray(datum) @ grid[int(aug_rng.integers(len(grid)))]
+        return rotate_image(datum, float(aug_rng.uniform(0.0, 2.0 * np.pi)),
+                            cfg.scheme)
+
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            kept = []
+            for i in idx:
+                cand = featurize(cfg, data.kind,
+                                 [draw(data.samples[i][0]) for _ in range(cfg.k)])
+                losses = -_log_softmax(cand @ W.T + b)[:, labels[i]]
+                kept.append(cand[int(np.argmax(losses))])
+            kept = np.stack(kept)
+            g = np.exp(_log_softmax(kept @ W.T + b))
+            g[np.arange(len(idx)), labels[idx]] -= 1.0
+            g /= len(idx)
+            W -= cfg.learning_rate * (g.T @ kept)
+            b -= cfg.learning_rate * g.sum(axis=0)
+    return W, b
+
+
 class TestTrainClassifier:
+    @pytest.mark.parametrize("data,cfg", [
+        (gen_synthetic_clouds(seed=4, n_per_class=4),
+         TrainConfig(mode="adversarial", k=3, epochs=4, batch_size=5, seed=6)),
+        (gen_synthetic_images(seed=4, n_per_class=2, size=32),
+         TrainConfig(mode="adversarial", k=2, epochs=3, batch_size=3, seed=6,
+                     canonicalize="train_and_test")),
+    ], ids=["clouds-k3", "images-canon-k2"])
+    def test_worst_of_k_matches_per_sample_reference(self, data, cfg):
+        """Scoring a minibatch's candidates together keeps the same worst
+        candidate per sample as scoring each sample's k on its own."""
+        model = train_classifier(data, cfg)
+        W, b = _worst_of_k_reference(data, cfg)
+        np.testing.assert_array_equal(model.weights, W)
+        np.testing.assert_array_equal(model.bias, b)
+
     def test_reaches_accuracy_on_canonical_clouds(self):
         """Plain training separates the canonicalized cloud classes."""
         data = gen_synthetic_clouds(seed=0, n_per_class=40)

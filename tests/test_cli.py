@@ -234,6 +234,50 @@ class TestTrainAndAudit:
                     "--data", str(images), "--out", str(tmp_path / "r.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("audit,kind,report_kind", [
+        ("audit-rot2d", "clouds", "rotation2d"),
+        ("audit-rot3d", "images", "rotation3d"),
+        ("audit-scale", "images", "scale"),
+    ])
+    def test_audit_of_the_wrong_kind_is_data_error(self, tmp_path, capsys,
+                                                    audit, kind, report_kind):
+        """Each audit takes one kind of data; a model and dataset of the
+        other kind exit 2 naming the audit and the kind, with no report."""
+        data = _gen(tmp_path, kind, seed=0, per_class=1)
+        model_path = tmp_path / "model.bin"
+        assert run(["train", "--data", str(data), "--epochs", "2", "--seed", "1",
+                    "--model", str(model_path)]) == 0
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        assert run([audit, "--model", str(model_path), "--data", str(data),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"the {report_kind} audit" in err
+        assert f"not {kind[:-1]} data" in err
+
+    def test_random_augment_ignores_k(self, tmp_path):
+        """ra draws one transform per sample whatever --k says."""
+        data = _gen(tmp_path, "clouds", seed=0, per_class=2)
+        blobs = []
+        for k in ("1", "7"):
+            model_path = tmp_path / f"ra_{k}.bin"
+            assert run(["train", "--data", str(data), "--mode", "ra", "--k", k,
+                        "--epochs", "3", "--seed", "1",
+                        "--model", str(model_path)]) == 0
+            blobs.append(model_path.read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_non_integer_manifest_label_is_data_error(self, tmp_path, capsys):
+        data = _gen(tmp_path, "clouds", seed=0, per_class=1)
+        manifest = data / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace(",1,box", ",zero,box"))
+        model_path = tmp_path / "m.bin"
+        assert run(["train", "--data", str(data), "--model", str(model_path)]) == 2
+        assert not model_path.exists()
+        assert ("manifest line 6: label 'zero' is not an integer"
+                in capsys.readouterr().err)
+
     # Byte offsets in the model file: sigma at 12, the first weight at 28,
     # the last bias entry at -8.
     @pytest.mark.parametrize("offset,value", [(28, float("nan")), (-8, float("inf")),
