@@ -1,13 +1,14 @@
 """Worst-case robustness audits of linear softmax classifiers.
 
 The question under audit: a model that looks accurate on clean test data
-can be driven to chance by rotating (or rescaling) its inputs, and how
-much of that is repaired by (a) augmenting training with random or
-worst-case transforms versus (b) canonicalizing inputs.  Everything here
-is deliberately small and deterministic — a linear softmax head on raw
-features, plain minibatch gradient descent, fixed transform grids — so
-that identical seeds reproduce identical models and reports byte for
-byte.
+can be driven to chance by rotating (or rescaling) its inputs, and
+canonicalizing inputs removes that exactly.  For clouds, reports of
+augmented training measure the model class, not augmentation: a linear
+head on raw coordinates can represent no rotation-invariant function
+beyond its bias.  Everything here is deliberately small and
+deterministic — a linear softmax head on raw features, plain minibatch
+gradient descent, fixed transform grids — so that identical seeds
+reproduce identical models and reports byte for byte.
 
 Training modes:
 
@@ -25,8 +26,9 @@ and the pairing term is skipped entirely when lam == 0, so the
 equivalences (random_augment == adversarial@k=1, adversarial_alp@lam=0 ==
 adversarial) hold bitwise.
 
-Training, the sweeps and softmax_curve turn data into features through
-featurize, the one place where the orbit mappings of cloud and image run.
+Data travel as stacks with a leading batch axis (LabeledDataset), which
+featurize, the one place where the orbit mappings run, turns into
+features; each audit moves the whole stack once per grid point.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .cloud import SimilarityMapping
-from .image import GrayImage, SCHEMES, RotationMapping, rotate_image
+from .image import SCHEMES, RotationMapping, rotate_image
 from .formats import ReportDocument
 
 # The order of these tables fixes the codes in model files.
@@ -66,29 +68,63 @@ _TEMPLATE_SEED = 715225739
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Samples of one kind ('image' or 'cloud') with integer labels."""
+    """Data of one kind ('image' or 'cloud') stacked in one array, with labels.
+
+    inputs, equally sized data, become one read-only float array, (N, P, 3)
+    for clouds and (N, h, w) for rasters, and targets a read-only int
+    vector.  Data are validated here, once: non-empty, one datum size (a
+    mismatch names both), finite, labels within class_names, and rasters
+    clamped into [0, 1] as GrayImage clamps them.
+    """
 
     kind: str
-    samples: tuple
+    inputs: np.ndarray
+    targets: np.ndarray
     class_names: tuple[str, ...]
     seed: int
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be 'image' or 'cloud', got {self.kind!r}")
-        for _, label in self.samples:
-            if not 0 <= label < len(self.class_names):
-                raise ValueError(f"label {label} outside the declared classes")
+        if len(self.inputs) == 0:
+            raise ValueError("empty dataset")
+        first = np.shape(self.inputs[0])
+        for datum in self.inputs:
+            if np.shape(datum) != first:
+                raise ValueError(f"the data mix {_sized(self.kind, math.prod(first))} "
+                                 f"and {_sized(self.kind, np.size(datum))}")
+        inputs = np.array(self.inputs, dtype=float)
+        targets = np.array(self.targets, dtype=int)
+        if inputs.ndim != 3 or (self.kind == "cloud" and inputs.shape[2] != 3):
+            raise ValueError(f"expected {self.kind} data, got an array of shape {inputs.shape}")
+        if not np.all(np.isfinite(inputs)):
+            raise ValueError(f"{self.kind} data contain non-finite values")
+        if targets.shape != (len(inputs),):
+            raise ValueError(f"{len(inputs)} data but {targets.size} labels")
+        outside = targets[(targets < 0) | (targets >= self.n_classes)]
+        if outside.size:
+            raise ValueError(f"label {outside[0]} outside the declared classes")
+        if self.kind == "image":
+            inputs = np.clip(inputs, 0.0, 1.0)
+        inputs.flags.writeable = targets.flags.writeable = False
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "targets", targets)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.inputs)
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
+    @property
+    def samples(self) -> tuple:
+        """(datum, label) pairs; each datum a read-only view of inputs."""
+        return tuple(zip(self.inputs, self.targets.tolist()))
+
     def labels(self) -> np.ndarray:
-        return np.array([label for _, label in self.samples], dtype=int)
+        """The read-only label vector."""
+        return self.targets
 
 
 def gen_synthetic_clouds(seed: int, n_per_class: int = 40,
@@ -134,14 +170,15 @@ def gen_synthetic_clouds(seed: int, n_per_class: int = 40,
         templates.append(pts)
 
     rng = np.random.default_rng(seed)
-    samples = []
-    for label, template in enumerate(templates):
+    clouds = []
+    for template in templates:
         for _ in range(n_per_class):
             jitter = rng.normal(scale=0.03, size=template.shape)
             stretch = rng.uniform(0.92, 1.08, size=3)
-            samples.append(((template + jitter) * stretch, label))
-    return LabeledDataset(kind="cloud", samples=tuple(samples),
-                         class_names=_CLOUD_CLASSES, seed=seed)
+            clouds.append((template + jitter) * stretch)
+    return LabeledDataset(kind="cloud", inputs=clouds,
+                          targets=np.repeat(np.arange(len(templates)), n_per_class),
+                          class_names=_CLOUD_CLASSES, seed=seed)
 
 
 def _smoothstep(x, width):
@@ -166,8 +203,8 @@ def gen_synthetic_images(seed: int, n_per_class: int = 12,
     z1 = (size - idx[:, None] - 0.5) / size
 
     rng = np.random.default_rng(seed)
-    samples = []
-    for label, name in enumerate(_IMAGE_CLASSES):
+    rasters = []
+    for name in _IMAGE_CLASSES:
         for _ in range(n_per_class):
             base = np.full((size, size), 0.06)
             if name == "disc":
@@ -202,9 +239,10 @@ def gen_synthetic_images(seed: int, n_per_class: int = 12,
                 d2 = (z1 - p2[0]) ** 2 + (z2 - p2[1]) ** 2
                 base += 0.85 * np.exp(-d1 / (2 * 0.11 ** 2))
                 base += 0.50 * np.exp(-d2 / (2 * 0.08 ** 2))
-            samples.append((GrayImage(base), label))
-    return LabeledDataset(kind="image", samples=tuple(samples),
-                         class_names=_IMAGE_CLASSES, seed=seed)
+            rasters.append(base)
+    return LabeledDataset(kind="image", inputs=rasters,
+                          targets=np.repeat(np.arange(len(_IMAGE_CLASSES)), n_per_class),
+                          class_names=_IMAGE_CLASSES, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +297,8 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (0.0 <= self.lam < math.inf and 0.0 <= self.weight_decay < math.inf):
             raise ValueError("lam and weight_decay must be finite and >= 0")
         if self.epochs < 1 or self.batch_size < 1:
@@ -299,36 +339,29 @@ def rotation_grid_3d(steps: int = GRID_STEPS_3D) -> list[tuple[str, np.ndarray]]
 
 
 def featurize(spec, kind: str, data) -> np.ndarray:
-    """Stack an iterable of data into a feature matrix, one raveled datum a row.
+    """The feature matrix of a stack of data, one raveled datum a row.
 
-    spec is a TrainConfig while training and the LinearSoftmaxModel being
-    fed otherwise.  Each datum first goes through the mapping of its kind
-    (SimilarityMapping, or RotationMapping with spec's scheme and sigma)
-    when spec canonicalizes at that stage: a config under 'train_and_test',
-    a model also under 'test_only'.  Rows must all have one size, a model's
-    that of its weights; ValueError names both sizes of a mismatch.
+    data is a stack (N, P, 3) of clouds or (N, h, w) of rasters, or a
+    list of equally sized ones.  spec is a TrainConfig while training and
+    the LinearSoftmaxModel being fed otherwise.  Each datum first goes
+    through the mapping of its kind (SimilarityMapping, or RotationMapping
+    with spec's scheme and sigma) when spec canonicalizes at that stage: a
+    config under 'train_and_test', a model also under 'test_only'.  A
+    model's data must have the size of its weights; ValueError names both
+    sizes of a mismatch.
     """
     training = isinstance(spec, TrainConfig)
-    mapping = None
+    data = np.asarray(data, dtype=float)
     if spec.canonicalize == "train_and_test" or (
             spec.canonicalize == "test_only" and not training):
         mapping = (SimilarityMapping() if kind == "cloud"
                    else RotationMapping(spec.scheme or "bilinear", spec.sigma))
-    size = None if training else spec.weights.shape[1]
-    rows = []
-    for datum in data:
-        if mapping is not None:
-            datum = mapping(datum).canonical
-        row = (datum.pixels if kind == "image"
-               else np.asarray(datum, dtype=float)).ravel()
-        if size is None:
-            size = row.size
-        if row.size != size:
-            message = ("the data mix {} and {}" if training
-                       else "the model takes {}, not {}")
-            raise ValueError(message.format(_sized(kind, size), _sized(kind, row.size)))
-        rows.append(row)
-    return np.stack(rows) if rows else np.empty((0, size or 0))
+        data = np.stack([mapping(datum).canonical for datum in data])
+    feats = data.reshape(len(data), -1)
+    if not training and feats.shape[1] != spec.weights.shape[1]:
+        raise ValueError(f"the model takes {_sized(kind, spec.weights.shape[1])}, "
+                         f"not {_sized(kind, feats.shape[1])}")
+    return feats
 
 
 def _sized(kind: str, n_features: int) -> str:
@@ -377,9 +410,7 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
     ValueError if the parameters stop being finite (diverged learning
     rate).
     """
-    if len(data) == 0:
-        raise ValueError("empty dataset")
-    clean_feats = featurize(cfg, data.kind, [datum for datum, _ in data.samples])
+    clean_feats = featurize(cfg, data.kind, data.inputs)
     labels = data.labels()
     n, n_features = clean_feats.shape
     n_classes = data.n_classes
@@ -391,15 +422,15 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
                             for s in np.random.SeedSequence(cfg.seed).spawn(2))
     grid = [r for _, r in rotation_grid_3d()] if data.kind == "cloud" else None
 
-    # One random orbit transform of a raw datum: clouds draw uniformly from
+    # One random orbit transform of raw datum i: clouds draw uniformly from
     # the 3-D audit grid, images a uniform angle in [0, 2 pi) rotated with
     # the configured scheme.  Draw order is fixed (per sample, then per
     # candidate), which is what makes two runs with the same seed — and the
     # random_augment / adversarial@k=1 pair — consume identical random streams.
-    def draw(datum):
+    def draw(i):
         if grid is not None:
-            return np.asarray(datum) @ grid[int(aug_rng.integers(len(grid)))]
-        return rotate_image(datum, float(aug_rng.uniform(0.0, 2.0 * np.pi)),
+            return data.inputs[i] @ grid[int(aug_rng.integers(len(grid)))]
+        return rotate_image(data.inputs[i], float(aug_rng.uniform(0.0, 2.0 * np.pi)),
                             cfg.scheme)
 
     k = 1 if cfg.mode == "random_augment" else cfg.k
@@ -417,8 +448,7 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
                 # the sample's current loss.  k is 1 for random_augment.
                 # The batch's candidates are featurized and scored together,
                 # k consecutive rows per sample.
-                cand = featurize(cfg, data.kind, (draw(data.samples[i][0])
-                                                  for i in idx for _ in range(k)))
+                cand = featurize(cfg, data.kind, [draw(i) for i in idx for _ in range(k)])
                 losses = _per_sample_ce(W, b, cand, np.repeat(yb, k))
                 worst = np.argmax(losses.reshape(len(idx), k), axis=1)
                 adv = cand[np.arange(len(idx)) * k + worst]
@@ -484,24 +514,20 @@ class AuditReport(ReportDocument):
 
 
 def _sweep(model, data, audit, kind, grid, move, scheme) -> AuditReport:
-    """Audit model on data moved by move(datum, parameter) at every
-    (label, parameter) of grid.  audit names the transform family in the
-    report and kind the data it is defined for."""
+    """Audit model on the data stack moved by move(inputs, parameter) at
+    every (label, parameter) of grid.  audit names the transform family in
+    the report and kind the data it is defined for."""
     if data.kind != kind:
         raise ValueError(f"the {audit} audit is defined for {kind} data, "
                          f"not {data.kind} data")
-    if len(data) == 0:
-        raise ValueError("empty dataset")
     if data.kind != model.kind:
         raise ValueError(f"model expects {model.kind} data, got {data.kind}")
     labels = data.labels()
-    inputs = [datum for datum, _ in data.samples]
-    clean_pred = model.predict(featurize(model, model.kind, inputs))
+    clean_pred = model.predict(featurize(model, model.kind, data.inputs))
     clean = float(np.mean(clean_pred == labels))
     correct = np.empty((len(data), len(grid)), dtype=bool)
     for gi, (_, parameter) in enumerate(grid):
-        feats = featurize(model, model.kind,
-                          (move(datum, parameter) for datum in inputs))
+        feats = featurize(model, model.kind, move(data.inputs, parameter))
         correct[:, gi] = model.predict(feats) == labels
     curve = correct.mean(axis=0)
     per_sample_worst = correct.all(axis=1)

@@ -5,10 +5,11 @@ generation, training, the three audits, probability curves, and a
 self-verification suite.  All outputs are byte-deterministic given
 identical inputs and flags.  Exit codes: 0 success, 1 usage error,
 2 data error, 3 degenerate-input hard failure, 4 selftest failure.
-Usage errors include non-finite hyperparameters and curve labels outside
-the model's classes.  Data errors include model files with non-finite
-parameters, inputs whose size differs from the model's or from the
-rest of their dataset, and audits of a kind of data they do not take.
+Usage errors include non-finite hyperparameters, negative seeds and
+curve labels outside the model's classes.  Data errors include model
+files with non-finite parameters, empty datasets, inputs whose size
+differs from the model's or from the rest of their dataset, and audits
+of a kind of data they do not take.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _cmd_canon_image(args) -> int:
     if not 0.0 < args.sigma < math.inf:
         raise _UsageError(f"--sigma must be positive and finite, got {args.sigma}")
     img = _formats.read_pgm(Path(args.infile).read_bytes())
-    res = canonicalize_image(img, scheme=args.scheme, sigma=args.sigma)
+    res = canonicalize_image(img.pixels, scheme=args.scheme, sigma=args.sigma)
     Path(args.outfile).write_bytes(_formats.write_pgm(res.canonical))
     if args.report:
         Path(args.report).write_text(_formats.write_table(
@@ -189,12 +190,12 @@ def _cmd_curve(args) -> int:
     model = _formats.load_model(Path(args.model).read_bytes())
     path = Path(args.sample)
     if model.kind == "image":
-        datum = _formats.read_pgm(path.read_bytes())
+        datum = _formats.read_pgm(path.read_bytes()).pixels
     else:
         datum = _read_cloud_file(path)
     if args.label is None:
         # Default to the model's prediction on the untransformed sample.
-        label = int(model.predict(_audit.featurize(model, model.kind, [datum]))[0])
+        label = int(model.predict(_audit.featurize(model, model.kind, datum[None]))[0])
     else:
         label = args.label
         n_classes = model.weights.shape[0]
@@ -264,16 +265,15 @@ def _selftest_checks():
             assert np.abs(c0 - c1).max() < 1e-8
 
     def rotation_identity():
-        img = GrayImage(rng.random((12, 12)))
+        img = rng.random((12, 12))
         for scheme in SCHEMES:
-            assert np.array_equal(rotate_image(img, 0.0, scheme).pixels,
-                                  img.pixels)
+            assert np.array_equal(rotate_image(img, 0.0, scheme), img)
         q = rotate_image(img, math.pi / 2, "nearest")
-        assert np.array_equal(q.pixels, np.rot90(img.pixels, 1))
+        assert np.array_equal(q, np.rot90(img, 1))
 
     def angle_consistency():
         data = _audit.gen_synthetic_images(seed=12, n_per_class=1)
-        img = data.samples[0][0]
+        img = data.inputs[0]
         a0, _ = canonical_angle(mean_gradient(smooth_model(img, 1.0)))
         for deg in (30, 120, 250):
             beta = math.radians(deg)
@@ -373,6 +373,8 @@ def run(argv=None) -> int:
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 1
+        if getattr(args, "seed", 0) < 0:
+            raise _UsageError(f"--seed must be >= 0, got {args.seed}")
         if args.subcommand == "selftest":
             return _cmd_selftest()
         handler = {

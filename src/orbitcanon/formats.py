@@ -94,8 +94,8 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(raster / maxval)
 
 
-def write_pgm(img: GrayImage, maxval: int = 255) -> bytes:
-    """Serialize an image as binary P5 with the given maxval.
+def write_pgm(img, maxval: int = 255) -> bytes:
+    """Serialize a raster (validated as a GrayImage) as binary P5.
 
     Pixels in [0, 1] are scaled to 0..maxval and rounded half away from
     zero, so 0.5 / 255 lands on 1.  Deterministic: equal images yield
@@ -103,6 +103,7 @@ def write_pgm(img: GrayImage, maxval: int = 255) -> bytes:
     """
     if not 0 < maxval < 65536:
         raise ValueError(f"maxval {maxval} out of range 1..65535")
+    img = GrayImage(img)
     q = np.floor(img.pixels * maxval + 0.5).astype(np.uint16)
     q = np.minimum(q, maxval)
     header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
@@ -494,6 +495,13 @@ def save_dataset(data, directory) -> None:
         write_table(None, meta, "filename,label,class_name", rows))
 
 
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not an integer") from None
+
+
 def load_dataset(directory):
     """Read back a dataset directory written by save_dataset."""
     from .audit import KINDS, LabeledDataset  # deferred: import cycle
@@ -504,26 +512,21 @@ def load_dataset(directory):
         raise ValueError(f"no manifest.csv under {root}")
     meta, table, _ = _read_table(manifest.read_text(), "filename,label,class_name",
                                  "manifest line")
-    rows = []
-    for lineno, (name, label, _) in table:
-        try:
-            rows.append((name, int(label)))
-        except ValueError:
-            raise ValueError(f"manifest line {lineno}: label {label!r} "
-                             "is not an integer") from None
+    labels = [_integer(label, f"manifest line {lineno}: label")
+              for lineno, (_, label, _) in table]
+    seed = _integer(meta.get("seed", "0"), "manifest seed")
     kind = meta.get("kind")
     if kind not in KINDS:
         raise ValueError(f"manifest kind {kind!r} is not 'image' or 'cloud'")
     class_names = tuple(meta.get("classes", "").split("|")) if meta.get("classes") else ()
-    samples = []
-    for name, label in rows:
+    inputs = []
+    for _, (name, _, _) in table:
         path = root / name
         if not path.is_file():
             raise ValueError(f"manifest references missing file {name}")
         if kind == "image":
-            samples.append((read_pgm(path.read_bytes()), label))
+            inputs.append(read_pgm(path.read_bytes()).pixels)
         else:
-            samples.append((read_xyz(path.read_text()), label))
-    return LabeledDataset(kind=kind, samples=tuple(samples),
-                          class_names=class_names,
-                          seed=int(meta.get("seed", "0")))
+            inputs.append(read_xyz(path.read_text()))
+    return LabeledDataset(kind=kind, inputs=inputs, targets=labels,
+                          class_names=class_names, seed=seed)

@@ -36,10 +36,11 @@ GRADIENT_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class GrayImage:
-    """An H x W grayscale raster with float values in [0, 1].
+    """One H x W raster with float values in [0, 1], from a PGM or IDX file.
 
     Values are clamped into [0, 1] on construction and the array is
-    frozen; non-finite input is rejected.
+    frozen; non-finite input is rejected.  It converts to its pixels
+    wherever an array is expected, as by the functions of this module.
     """
 
     pixels: np.ndarray
@@ -54,6 +55,9 @@ class GrayImage:
         p.flags.writeable = False
         object.__setattr__(self, "pixels", p)
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.pixels, dtype=dtype, copy=copy)
+
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
@@ -67,11 +71,11 @@ class GrayImage:
         return self.height == self.width
 
 
-def _require_square(img: GrayImage) -> int:
-    if not img.is_square:
-        raise ValueError(
-            f"rotation needs a square raster, got {img.height} x {img.width}")
-    return img.height
+def _require_square(pixels: np.ndarray) -> int:
+    if pixels.ndim < 2 or pixels.shape[-1] != pixels.shape[-2]:
+        raise ValueError("rotation needs a square raster, got "
+                         + " x ".join(str(d) for d in pixels.shape[-2:]))
+    return pixels.shape[-1]
 
 
 def _check_scheme(scheme: str) -> str:
@@ -80,12 +84,12 @@ def _check_scheme(scheme: str) -> str:
     return scheme
 
 
-def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
-    """Separable Gaussian blur with edge replication.
+def gaussian_blur(img, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur with edge replication of a raster (h, w).
 
     Kernel radius is ceil(3 * sigma); taps are normalized to sum to 1, so
-    a constant image is exactly preserved.  sigma must be positive and
-    finite.
+    a constant image is exactly preserved.  The result is clamped into
+    [0, 1], the range of a raster.  sigma must be positive and finite.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -94,7 +98,7 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     taps = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
     taps /= taps.sum()
 
-    out = img.pixels
+    out = np.asarray(img, dtype=float)
     for axis in (0, 1):
         pad = [(0, 0), (0, 0)]
         pad[axis] = (radius, radius)
@@ -106,7 +110,7 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
             else:
                 acc += t * padded[:, k:k + out.shape[1]]
         out = acc
-    return GrayImage(out)
+    return np.clip(out, 0.0, 1.0)
 
 
 class SmoothImageModel:
@@ -118,14 +122,14 @@ class SmoothImageModel:
     value and gradient are total deterministic functions of z.
     """
 
-    def __init__(self, image: GrayImage):
-        self.image = image
+    def __init__(self, image):
+        self.image = np.asarray(image, dtype=float)
 
     def _fractional(self, points):
         z = np.asarray(points, dtype=float)
         if z.shape[-1] != 2:
             raise ValueError("points must have a trailing axis of size 2 (z1, z2)")
-        h, w = self.image.height, self.image.width
+        h, w = self.image.shape
         row_f = (1.0 - z[..., 0]) * h - 0.5
         col_f = z[..., 1] * w - 0.5
         return row_f, col_f
@@ -141,7 +145,7 @@ class SmoothImageModel:
         return i0, t, live
 
     def _gather(self, points):
-        p = self.image.pixels
+        p = self.image
         h, w = p.shape
         row_f, col_f = self._fractional(points)
         r0, tr, live_r = self._cell(row_f, h)
@@ -166,7 +170,7 @@ class SmoothImageModel:
         in clamped regions the corresponding component is zero.  du/dz1
         carries a factor -height because z1 runs against the row index.
         """
-        h, w = self.image.height, self.image.width
+        h, w = self.image.shape
         v00, v01, v10, v11, tr, tc, live_r, live_c = self._gather(points)
         d_row = (v10 - v00) * (1.0 - tc) + (v11 - v01) * tc
         d_col = (v01 - v00) * (1.0 - tr) + (v11 - v10) * tr
@@ -185,7 +189,7 @@ class MeanGradient:
     sample_count: int
 
 
-def smooth_model(img: GrayImage, sigma: float = 1.0) -> SmoothImageModel:
+def smooth_model(img, sigma: float = 1.0) -> SmoothImageModel:
     """Blur the raster and wrap it in the continuous model."""
     return SmoothImageModel(gaussian_blur(img, sigma))
 
@@ -229,20 +233,23 @@ def canonical_angle(mg: MeanGradient,
     return math.atan2(mg.g2, mg.g1), False
 
 
-def rotate_image(img: GrayImage, alpha: float, scheme: str = "bilinear") -> GrayImage:
+def rotate_image(img, alpha: float, scheme: str = "bilinear") -> np.ndarray:
     """Rotate image content counter-clockwise by alpha about the center.
 
+    img is a square raster (n, n) or a stack of them (..., n, n).
     Resamples by inverse mapping: each output pixel center is rotated back
     by alpha and the source raster is sampled there with the requested
     scheme (nearest, bilinear, or bicubic with the Catmull-Rom kernel).
     Source samples falling outside the unit square give 0; interpolation
     stencils reaching past the raster clamp to the border row/column.
-    Output values are clamped to [0, 1] (by GrayImage), and alpha = 0
-    reproduces the input bit for bit under every scheme.
+    Output values are clamped to [0, 1], and alpha = 0 reproduces a
+    raster in [0, 1] bit for bit under every scheme.
     """
     _check_scheme(scheme)
-    n = _require_square(img)
-    p = img.pixels
+    p = np.asarray(img, dtype=float)
+    n = _require_square(p)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("raster contains non-finite values")
 
     # Inverse map in index space.  With center m = (n - 1) / 2 the source
     # index of output pixel (r, c) is
@@ -263,11 +270,10 @@ def rotate_image(img: GrayImage, alpha: float, scheme: str = "bilinear") -> Gray
     inside = ((col_f >= -0.5) & (col_f <= n - 0.5)
               & (row_f >= -0.5) & (row_f <= n - 0.5))
 
-    out = np.zeros((n, n))
     if scheme == "nearest":
         c = np.clip(np.floor(col_f + 0.5), 0, n - 1).astype(int)
         r = np.clip(np.floor(row_f + 0.5), 0, n - 1).astype(int)
-        out[inside] = p[r[inside], c[inside]]
+        out = p[..., r, c]
     else:
         c0 = np.floor(col_f).astype(int)
         r0 = np.floor(row_f).astype(int)
@@ -278,14 +284,13 @@ def rotate_image(img: GrayImage, alpha: float, scheme: str = "bilinear") -> Gray
         else:
             taps = (-1, 0, 1, 2)
             wr, wc = _catmull_rom_weights(tr), _catmull_rom_weights(tc)
-        acc = np.zeros((n, n))
+        out = np.zeros(p.shape)
         for i, dr in enumerate(taps):
             rr = np.clip(r0 + dr, 0, n - 1)
             for j, dc in enumerate(taps):
                 cc = np.clip(c0 + dc, 0, n - 1)
-                acc += wr[i] * wc[j] * p[rr, cc]
-        out[inside] = acc[inside]
-    return GrayImage(out)
+                out += wr[i] * wc[j] * p[..., rr, cc]
+    return np.clip(np.where(inside, out, 0.0), 0.0, 1.0)
 
 
 def _catmull_rom_weights(t):
@@ -304,9 +309,9 @@ def _catmull_rom_weights(t):
     )
 
 
-def canonicalize_image(img: GrayImage, scheme: str = "bilinear",
+def canonicalize_image(img, scheme: str = "bilinear",
                        sigma: float = 1.0) -> CanonResult:
-    """Rotate an image into its canonical orientation.
+    """Rotate a raster (n, n) into its canonical orientation.
 
     Estimates the orientation angle from the blurred model's mean gradient
     and resamples the original (unblurred) image by that angle; the blur
@@ -316,6 +321,7 @@ def canonicalize_image(img: GrayImage, scheme: str = "bilinear",
     the mean gradient magnitude.  An unknown scheme raises ValueError for
     every image, degenerate or not.
     """
+    img = np.asarray(img, dtype=float)
     _require_square(img)
     _check_scheme(scheme)
     mg = mean_gradient(smooth_model(img, sigma))
@@ -338,10 +344,10 @@ class RotationMapping:
         self.scheme = _check_scheme(scheme)
         self.sigma = sigma
 
-    def __call__(self, img: GrayImage) -> CanonResult:
+    def __call__(self, img) -> CanonResult:
         return canonicalize_image(img, scheme=self.scheme, sigma=self.sigma)
 
-    def apply(self, alpha: float, img: GrayImage) -> GrayImage:
+    def apply(self, alpha: float, img) -> np.ndarray:
         return rotate_image(img, alpha, self.scheme)
 
     @staticmethod

@@ -233,7 +233,7 @@ def test_criterion_06_interpolation_sensitivity(image_train_data,
     """The three resampling schemes produce genuinely different rasters and
     per-scheme reports the tooling keeps apart."""
     img = image_test_data.samples[0][0]
-    rasters = {scheme: rotate_image(img, math.radians(10.0), scheme).pixels
+    rasters = {scheme: rotate_image(img, math.radians(10.0), scheme)
                for scheme in ("nearest", "bilinear", "bicubic")}
     for a, b in itertools.combinations(rasters, 2):
         assert not np.array_equal(rasters[a], rasters[b])

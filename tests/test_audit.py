@@ -8,6 +8,7 @@ from orbitcanon.audit import (
     MODES,
     SCALE_FACTORS,
     AuditReport,
+    LabeledDataset,
     LinearSoftmaxModel,
     TrainConfig,
     evaluate_rotation_grid_3d,
@@ -30,9 +31,7 @@ CLOUD_CLASSES = ("shell", "box", "tube", "cross")
 
 
 def _feature_count(data):
-    datum = data.samples[0][0]
-    arr = datum.pixels if hasattr(datum, "pixels") else datum
-    return int(np.asarray(arr).size)
+    return int(data.inputs[0].size)
 
 
 def _constant_model(data, favored=0):
@@ -94,7 +93,7 @@ class TestGenSyntheticImages:
         assert data.kind == "image"
         assert len(data.samples) == 12
         for img, label in data.samples:
-            assert img.pixels.shape == (32, 32)
+            assert img.shape == (32, 32)
             assert 0 <= label <= 3
 
     def test_deterministic(self):
@@ -102,7 +101,7 @@ class TestGenSyntheticImages:
         b = gen_synthetic_images(seed=6, n_per_class=2)
         for (xa, la), (xb, lb) in zip(a.samples, b.samples):
             assert la == lb
-            np.testing.assert_array_equal(xa.pixels, xb.pixels)
+            np.testing.assert_array_equal(xa, xb)
 
     def test_strong_mean_gradient(self):
         """At least 95% of samples sit 10x above the degeneracy threshold."""
@@ -117,6 +116,42 @@ class TestGenSyntheticImages:
         with pytest.raises(ValueError):
             gen_synthetic_images(seed=0, n_per_class=1, size=15)
         gen_synthetic_images(seed=0, n_per_class=1, size=16)
+
+
+class TestLabeledDataset:
+    """The dataset is one validated, read-only array and a label vector."""
+
+    def test_stacks_and_freezes(self):
+        data = gen_synthetic_clouds(seed=1, n_per_class=2, n_points=16)
+        assert data.inputs.shape == (8, 16, 3)
+        assert not data.inputs.flags.writeable
+        assert not data.labels().flags.writeable
+        for (datum, label), row, target in zip(data.samples, data.inputs, data.labels()):
+            assert np.shares_memory(datum, data.inputs)
+            np.testing.assert_array_equal(datum, row)
+            assert label == target and isinstance(label, int)
+
+    def test_clamps_rasters_as_gray_image_does(self):
+        raw = np.array([[[-0.5, 0.2], [1.7, 1.0]]])
+        data = LabeledDataset("image", raw, [0], ("a",), 0)
+        np.testing.assert_array_equal(data.inputs[0], GrayImage(raw[0]).pixels)
+
+    @pytest.mark.parametrize("kind,inputs,targets,message", [
+        ("cloud", [], [], "empty dataset"),
+        ("cloud", [np.zeros((64, 3)), np.zeros((80, 3))], [0, 0],
+         "the data mix 64-point clouds and 80-point clouds"),
+        ("image", [np.zeros((4, 4)), np.zeros((5, 5))], [0, 0],
+         "the data mix 4 x 4 rasters and 5 x 5 rasters"),
+        ("cloud", [np.full((4, 3), np.inf)], [0], "non-finite"),
+        ("image", [np.full((4, 4), np.nan)], [0], "non-finite"),
+        ("cloud", [np.zeros((4, 3))], [2], "label 2 outside"),
+        ("cloud", [np.zeros((4, 3))], [-1], "label -1 outside"),
+        ("cloud", [np.zeros((4, 2))], [0], "expected cloud data"),
+    ], ids=["empty", "point-counts", "raster-sizes", "inf", "nan", "label-high",
+            "label-negative", "cloud-shape"])
+    def test_rejects_invalid_data(self, kind, inputs, targets, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(kind, inputs, targets, ("a", "b"), 0)
 
 
 class TestTrainConfig:
@@ -149,6 +184,11 @@ class TestTrainConfig:
     def test_rejects_bad_scheme(self):
         with pytest.raises(ValueError):
             TrainConfig(scheme="lanczos")
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=-1)
+        TrainConfig(seed=0)
 
     def test_mode_list(self):
         assert MODES == ("plain", "random_augment", "adversarial", "mixed",
@@ -412,6 +452,53 @@ class TestEvaluate2D:
             assert report.scheme == scheme
 
 
+def _per_datum_report(model, data, audit, grid, move, scheme):
+    """The audit with every datum moved on its own at each grid point."""
+    labels = data.labels()
+    clean = model.predict(featurize(model, data.kind, list(data.inputs))) == labels
+    correct = np.stack([
+        model.predict(featurize(model, data.kind,
+                                [move(datum, parameter) for datum in data.inputs])) == labels
+        for _, parameter in grid], axis=1)
+    curve = correct.mean(axis=0)
+    return AuditReport(kind=audit, mode=model.mode, scheme=scheme,
+                       canonicalized=model.canonicalize != "off",
+                       n_samples=len(data), clean=float(clean.mean()),
+                       average=float(curve.mean()),
+                       worst=float(correct.all(axis=1).mean()),
+                       grid=tuple(label for label, _ in grid), curve=curve,
+                       per_sample_worst=correct.all(axis=1))
+
+
+class TestSweepStack:
+    """Moving the whole stack once per grid point reports what moving each
+    datum on its own does."""
+
+    @pytest.mark.parametrize("canonicalize", ["off", "train_and_test"])
+    def test_cloud_grid_matches_per_datum_moves(self, canonicalize):
+        data = gen_synthetic_clouds(seed=21, n_per_class=2, n_points=16)
+        model = train_classifier(data, TrainConfig(epochs=20, seed=1,
+                                                   canonicalize=canonicalize))
+        report = evaluate_rotation_grid_3d(model, data)
+        ref = _per_datum_report(model, data, "rotation3d", rotation_grid_3d(),
+                                lambda x, r: x @ r, "")
+        assert report == ref
+        np.testing.assert_array_equal(report.per_sample_worst, ref.per_sample_worst)
+
+    @pytest.mark.parametrize("canonicalize,scheme", [("off", "nearest"),
+                                                     ("train_and_test", "bicubic")])
+    def test_image_sweep_matches_per_datum_moves(self, canonicalize, scheme):
+        data = gen_synthetic_images(seed=22, n_per_class=1, size=16)
+        model = train_classifier(data, TrainConfig(epochs=10, seed=1,
+                                                   canonicalize=canonicalize))
+        report = evaluate_rotation_sweep_2d(model, data, scheme=scheme)
+        grid = [(str(deg), np.radians(deg)) for deg in range(360)]
+        ref = _per_datum_report(model, data, "rotation2d", grid,
+                                lambda x, a: rotate_image(x, a, scheme), scheme)
+        assert report == ref
+        np.testing.assert_array_equal(report.per_sample_worst, ref.per_sample_worst)
+
+
 class TestSoftmaxCurve:
     def test_angle_zero_equals_clean_probability(self):
         data = gen_synthetic_images(seed=16, n_per_class=2, size=16)
@@ -420,7 +507,7 @@ class TestSoftmaxCurve:
         img, label = data.samples[0]
         angles = np.radians(np.arange(0.0, 360.0, 45.0))
         curve = softmax_curve(model, (img, label), angles)
-        feats = img.pixels.ravel()[None, :]
+        feats = img.ravel()[None, :]
         logits = model.logits(feats)[0]
         z = logits - logits.max()
         clean_prob = float(np.exp(z[label]) / np.exp(z).sum())

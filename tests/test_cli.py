@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from orbitcanon.audit import LabeledDataset, gen_synthetic_clouds, gen_synthetic_images
+from orbitcanon.audit import gen_synthetic_clouds, gen_synthetic_images
 from orbitcanon.cli import run
 from orbitcanon.cloud import canonicalize_similarity
 from orbitcanon.formats import (
@@ -15,6 +15,7 @@ from orbitcanon.formats import (
     read_xyz,
     save_dataset,
     write_pgm,
+    write_table,
     write_xyz,
 )
 from orbitcanon.image import GrayImage
@@ -43,6 +44,19 @@ def _gen(tmp_path, kind, seed=0, per_class=6):
     code = run(["gen-data", "--kind", kind, "--seed", str(seed),
                 "--per-class", str(per_class), "--out", str(out)])
     assert code == 0
+    return out
+
+
+def _mixed(tmp_path, first, second):
+    """A dataset directory of first's samples plus second's first sample,
+    written to disk as a manifest row of first's class 0."""
+    out, other = tmp_path / "mixed", tmp_path / "other"
+    save_dataset(first, out)
+    save_dataset(second, other)
+    name = next(p.name for p in sorted(other.iterdir()) if p.name != "manifest.csv")
+    (out / f"extra_{name}").write_bytes((other / name).read_bytes())
+    with (out / "manifest.csv").open("a") as manifest:
+        manifest.write(f"extra_{name},0,{first.class_names[0]}\n")
     return out
 
 
@@ -158,6 +172,13 @@ class TestGenData:
     def test_image_dataset_on_disk(self, tmp_path):
         out = _gen(tmp_path, "images", seed=4, per_class=1)
         assert len(list(out.glob("*.pgm"))) == 4
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["gen-data", "--kind", "clouds", "--seed", "-1",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "--seed" in capsys.readouterr().err
 
     def test_byte_deterministic(self, tmp_path):
         a = _gen(tmp_path, "clouds", seed=7, per_class=2)
@@ -311,15 +332,63 @@ class TestTrainAndAudit:
         assert "64-point clouds" in err and "80-point clouds" in err
 
     def test_mixed_raster_sizes_name_both(self, tmp_path, capsys):
-        small = gen_synthetic_images(1, n_per_class=1, size=32)
-        large = gen_synthetic_images(1, n_per_class=1, size=48)
-        data = tmp_path / "mixed"
-        save_dataset(LabeledDataset(kind="image", samples=small.samples + large.samples,
-                                    class_names=small.class_names, seed=1), data)
+        data = _mixed(tmp_path, gen_synthetic_images(1, n_per_class=1, size=32),
+                      gen_synthetic_images(1, n_per_class=1, size=48))
         assert run(["train", "--data", str(data), "--epochs", "3",
                     "--model", str(tmp_path / "m.bin")]) == 2
         err = capsys.readouterr().err
         assert "32 x 32 rasters" in err and "48 x 48 rasters" in err
+
+    def test_mixed_point_counts_name_both(self, tmp_path, capsys):
+        data = _mixed(tmp_path, gen_synthetic_clouds(1, n_per_class=1, n_points=64),
+                      gen_synthetic_clouds(1, n_per_class=1, n_points=80))
+        model_path = tmp_path / "m.bin"
+        assert run(["train", "--data", str(data), "--epochs", "3",
+                    "--model", str(model_path)]) == 2
+        assert not model_path.exists()
+        err = capsys.readouterr().err
+        assert "64-point clouds" in err and "80-point clouds" in err
+
+    @pytest.mark.parametrize("command", ["train", "audit-rot3d", "audit-rot2d"])
+    def test_empty_manifest_is_data_error(self, tmp_path, capsys, command):
+        """A manifest without rows has no datum shape to stack."""
+        kind = "images" if command == "audit-rot2d" else "clouds"
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "manifest.csv").write_text(write_table(
+            None, {"kind": kind[:-1], "seed": 0, "classes": "a|b"},
+            "filename,label,class_name", []))
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", str(empty), "--model", str(out)]
+        else:
+            model_path = tmp_path / "m.bin"
+            assert run(["train", "--data", str(_gen(tmp_path, kind, per_class=1)),
+                        "--epochs", "2", "--model", str(model_path)]) == 0
+            argv = [command, "--model", str(model_path), "--data", str(empty),
+                    "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert not out.exists()
+        assert "empty dataset" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        data = _gen(tmp_path, "clouds", seed=0, per_class=1)
+        model_path = tmp_path / "m.bin"
+        capsys.readouterr()
+        assert run(["train", "--data", str(data), "--seed", "-3",
+                    "--model", str(model_path)]) == 1
+        assert not model_path.exists()
+        assert "--seed" in capsys.readouterr().err
+
+    def test_non_integer_manifest_seed_is_data_error(self, tmp_path, capsys):
+        data = _gen(tmp_path, "clouds", seed=0, per_class=1)
+        manifest = data / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("# seed=0", "# seed=zero"))
+        model_path = tmp_path / "m.bin"
+        assert run(["train", "--data", str(data), "--model", str(model_path)]) == 2
+        assert not model_path.exists()
+        assert "manifest seed 'zero' is not an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,flags", [
         ("clouds", ["--sigma", "inf"]),

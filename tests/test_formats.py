@@ -333,7 +333,7 @@ class TestDatasetDirectory:
         assert again.class_names == data.class_names
         for (a, la), (b, lb) in zip(again.samples, data.samples):
             assert la == lb
-            assert np.abs(a.pixels - b.pixels).max() <= 0.5 / 65535.0 + 1e-12
+            assert np.abs(a - b).max() <= 0.5 / 65535.0 + 1e-12
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError):

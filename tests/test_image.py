@@ -99,14 +99,14 @@ class TestGaussianBlur:
         img = GrayImage(np.full((7, 7), 0.5))
         for sigma in (0.5, 1.0, 2.5):
             out = gaussian_blur(img, sigma)
-            np.testing.assert_allclose(out.pixels, 0.5, atol=1e-12)
+            np.testing.assert_allclose(out, 0.5, atol=1e-12)
 
     def test_interior_impulse(self):
         """Unit impulse at the center of 9x9: separable kernel outer product,
         total mass preserved to 1e-12."""
         p = np.zeros((9, 9))
         p[4, 4] = 1.0
-        out = gaussian_blur(GrayImage(p), 1.0).pixels
+        out = gaussian_blur(GrayImage(p), 1.0)
         taps = _gauss_taps(1.0)
         assert abs(out[4, 4] - taps[3] ** 2) <= 1e-15
         np.testing.assert_allclose(out[1:8, 1:8], np.outer(taps, taps),
@@ -116,19 +116,19 @@ class TestGaussianBlur:
     def test_three_pixel_ramp_symmetry(self):
         """[0, 0.5, 1] with replicated edges keeps its middle value at 0.5."""
         out = gaussian_blur(GrayImage(np.array([[0.0, 0.5, 1.0]])), 1.0)
-        assert abs(out.pixels[0, 1] - 0.5) <= 1e-12
+        assert abs(out[0, 1] - 0.5) <= 1e-12
 
     def test_linear_ramp_fixed_in_interior(self):
         """Symmetric taps on linear data reproduce the center sample, so the
         ramp survives the blur away from the replicated border band."""
         img = _ramp_z1(32)
         out = gaussian_blur(img, 1.0)
-        np.testing.assert_allclose(out.pixels[3:-3, :], img.pixels[3:-3, :],
+        np.testing.assert_allclose(out[3:-3, :], img.pixels[3:-3, :],
                                    atol=1e-12)
 
     def test_preserves_shape(self):
         out = gaussian_blur(GrayImage(np.zeros((5, 8))), 1.5)
-        assert out.pixels.shape == (5, 8)
+        assert out.shape == (5, 8)
 
 
 class TestSmoothImageModel:
@@ -299,14 +299,14 @@ class TestRotateImage:
         img = GrayImage(rng.random((17, 17)))
         for scheme in SCHEMES:
             out = rotate_image(img, 0.0, scheme)
-            np.testing.assert_array_equal(out.pixels, img.pixels)
+            np.testing.assert_array_equal(out, img.pixels)
 
     def test_nearest_quarter_turn_is_permutation(self):
         rng = np.random.default_rng(307)
         for n in (8, 9, 16):
             p = rng.random((n, n))
             out = rotate_image(GrayImage(p), np.pi / 2, "nearest")
-            np.testing.assert_array_equal(out.pixels, np.rot90(p, 1))
+            np.testing.assert_array_equal(out, np.rot90(p, 1))
 
     def test_quarter_turn_near_exact_all_schemes(self):
         """Pixel centers land on pixel centers at 90 degrees; nearest is an
@@ -316,7 +316,7 @@ class TestRotateImage:
         p = rng.random((12, 12))
         for scheme in ("bilinear", "bicubic"):
             out = rotate_image(GrayImage(p), np.pi / 2, scheme)
-            np.testing.assert_allclose(out.pixels, np.rot90(p, 1),
+            np.testing.assert_allclose(out, np.rot90(p, 1),
                                        rtol=0, atol=1e-14)
 
     def test_half_turn_composition(self):
@@ -327,22 +327,35 @@ class TestRotateImage:
         for img, _ in data.samples:
             twice = rotate_image(rotate_image(img, np.pi, "bilinear"),
                                  np.pi, "bilinear")
-            err = np.abs(twice.pixels - img.pixels)[mask].mean()
+            err = np.abs(twice - img)[mask].mean()
             assert err <= 2e-2
+
+    @pytest.mark.parametrize("n", [7, 16, 33])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_stack_matches_each_raster(self, scheme, n):
+        """A stack (N, n, n) rotates bit for bit as its rasters one by one."""
+        rng = np.random.default_rng(310 + n)
+        stack = rng.random((5, n, n))
+        angles = np.concatenate([[0.0, np.pi / 2], rng.uniform(-7.0, 7.0, 22)])
+        for alpha in angles:
+            out = rotate_image(stack, alpha, scheme)
+            assert out.shape == stack.shape
+            for img, got in zip(stack, out):
+                np.testing.assert_array_equal(got, rotate_image(img, alpha, scheme))
 
     def test_corner_fill_zero(self):
         img = GrayImage(np.ones((16, 16)))
         out = rotate_image(img, np.pi / 4, "bilinear")
-        assert out.pixels[0, 0] == 0.0
-        assert out.pixels[0, -1] == 0.0
-        assert out.pixels[8, 8] > 0.99
+        assert out[0, 0] == 0.0
+        assert out[0, -1] == 0.0
+        assert out[8, 8] > 0.99
 
     def test_output_range_clamped(self):
         rng = np.random.default_rng(309)
         img = GrayImage(rng.random((20, 20)))
         for scheme in SCHEMES:
             out = rotate_image(img, 0.37, scheme)
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+            assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -352,6 +365,17 @@ class TestRotateImage:
         with pytest.raises(ValueError):
             rotate_image(GrayImage(np.zeros((4, 6))), 0.1, "bilinear")
 
+    def test_stack_checks(self):
+        """A stack is checked once: squareness, scheme and finite values."""
+        with pytest.raises(ValueError, match="square raster, got 4 x 6"):
+            rotate_image(np.zeros((3, 4, 6)), 0.1, "bilinear")
+        with pytest.raises(ValueError, match="unknown interpolation scheme"):
+            rotate_image(np.zeros((3, 4, 4)), 0.1, "lanczos")
+        stack = np.zeros((3, 4, 4))
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            rotate_image(stack, 0.0, "nearest")
+
 
 class TestCanonicalizeImage:
     def test_constant_image_degenerate_passthrough(self):
@@ -359,7 +383,7 @@ class TestCanonicalizeImage:
         res = canonicalize_image(img)
         assert res.degenerate
         assert res.element == 0.0
-        np.testing.assert_array_equal(res.canonical.pixels, img.pixels)
+        np.testing.assert_array_equal(res.canonical, img.pixels)
 
     @pytest.mark.parametrize("img", [GrayImage(np.full((8, 8), 0.5)), _ramp_z1(8)],
                              ids=["degenerate", "textured"])
@@ -377,7 +401,7 @@ class TestCanonicalizeImage:
         res30 = canonicalize_image(rotated)
         assert abs(_wrap_angle(res30.element + beta)) <= math.radians(2.0)
         mask = _disc_mask(32, 0.35)
-        diff = np.abs(res30.canonical.pixels - res0.canonical.pixels)[mask]
+        diff = np.abs(res30.canonical - res0.canonical)[mask]
         assert diff.mean() <= 0.03
 
     def test_already_canonical_fixed_point(self):
@@ -389,8 +413,8 @@ class TestCanonicalizeImage:
             again = canonicalize_image(first.canonical)
             if first.energy > 10.0 * GRADIENT_THRESHOLD:
                 assert abs(again.element) <= 0.01
-            diff = np.abs(again.canonical.pixels
-                          - first.canonical.pixels)[mask]
+            diff = np.abs(again.canonical
+                          - first.canonical)[mask]
             assert diff.mean() <= 0.03
 
     def test_angle_consistency_spot_check(self):
@@ -423,8 +447,8 @@ class TestRotationMapping:
         mapping = RotationMapping(scheme="bilinear", sigma=1.0)
         res = mapping(img)
         ref = canonicalize_image(img, scheme="bilinear", sigma=1.0)
-        np.testing.assert_array_equal(res.canonical.pixels,
-                                      ref.canonical.pixels)
+        np.testing.assert_array_equal(res.canonical,
+                                      ref.canonical)
         assert res.element == ref.element
 
     def test_apply_inverse_near_identity(self):
@@ -434,5 +458,5 @@ class TestRotationMapping:
         res = mapping(img)
         back = mapping.apply(mapping.inverse(res.element), res.canonical)
         mask = _disc_mask(32, 0.35)
-        err = np.abs(back.pixels - img.pixels)[mask].mean()
+        err = np.abs(back - img)[mask].mean()
         assert err <= 2e-2
