@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cloud import SimilarityMapping
+from .cloud import canonicalize_clouds
 from .image import SCHEMES, RotationMapping, rotate_image
 from .formats import ReportDocument
 
@@ -343,20 +343,23 @@ def featurize(spec, kind: str, data) -> np.ndarray:
 
     data is a stack (N, P, 3) of clouds or (N, h, w) of rasters, or a
     list of equally sized ones.  spec is a TrainConfig while training and
-    the LinearSoftmaxModel being fed otherwise.  Each datum first goes
-    through the mapping of its kind (SimilarityMapping, or RotationMapping
-    with spec's scheme and sigma) when spec canonicalizes at that stage: a
-    config under 'train_and_test', a model also under 'test_only'.  A
-    model's data must have the size of its weights; ValueError names both
-    sizes of a mismatch.
+    the LinearSoftmaxModel being fed otherwise.  The data are first
+    canonicalized when spec canonicalizes at that stage (a config under
+    'train_and_test', a model also under 'test_only'): a cloud stack in
+    one canonicalize_clouds call, rasters one by one through a
+    RotationMapping with spec's scheme and sigma.  A model's data must
+    have the size of its weights; ValueError names both sizes of a
+    mismatch.
     """
     training = isinstance(spec, TrainConfig)
     data = np.asarray(data, dtype=float)
     if spec.canonicalize == "train_and_test" or (
             spec.canonicalize == "test_only" and not training):
-        mapping = (SimilarityMapping() if kind == "cloud"
-                   else RotationMapping(spec.scheme or "bilinear", spec.sigma))
-        data = np.stack([mapping(datum).canonical for datum in data])
+        if kind == "cloud":
+            data = canonicalize_clouds(data)[0]
+        else:
+            mapping = RotationMapping(spec.scheme or "bilinear", spec.sigma)
+            data = np.stack([mapping(datum).canonical for datum in data])
     feats = data.reshape(len(data), -1)
     if not training and feats.shape[1] != spec.weights.shape[1]:
         raise ValueError(f"the model takes {_sized(kind, spec.weights.shape[1])}, "

@@ -8,6 +8,10 @@ eigenvectors of the second-moment matrix are only defined up to column
 signs, so the signs are pinned to make the first point's canonical
 coordinates non-negative, with a determinant correction so the aligning
 map is always a proper rotation and never a reflection.
+
+canonicalize_clouds runs all of this on a stack (N, P, 3) of clouds with
+whole-array work, the eigensolver included; canonicalize_similarity and
+canonicalize_rotation are that work on a stack of one.
 """
 
 from __future__ import annotations
@@ -57,98 +61,138 @@ def normalize_scale(points) -> tuple[np.ndarray, float]:
     whose points all sit at the origin has no scale and raises
     DegenerateCloudError.
     """
-    return _unit_scale(as_cloud(points))
+    scaled, scale = _unit_scale(as_cloud(points)[None])
+    return scaled[0], float(scale[0])
 
 
-def _unit_scale(X: np.ndarray) -> tuple[np.ndarray, float]:
-    scale = float(np.linalg.norm(X, axis=1).mean())
-    if scale == 0.0:
-        raise DegenerateCloudError("every point is at the origin; no scale to remove")
-    return X / scale, scale
+def _unit_scale(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each cloud of a stack (N, P, 3) by its mean point norm;
+    returns (scaled stack, scales).  In a stack of more than one cloud,
+    the DegenerateCloudError names the cloud with no scale."""
+    scale = np.linalg.norm(X, axis=2).mean(axis=1)
+    flat = np.flatnonzero(scale == 0.0)
+    if flat.size:
+        where = f"cloud {flat[0]}: " if len(X) > 1 else ""
+        raise DegenerateCloudError(f"{where}every point is at the origin; no scale to remove")
+    return X / scale[:, None, None], scale
+
+
+def _lane_norms(M: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack (N, 3, 3).
+
+    Each lane is the dot product of its nine entries with themselves, the
+    operation np.linalg.norm performs on one matrix, so it equals that
+    norm bit for bit; a sum over the lane would add in another order."""
+    flat = M.reshape(len(M), 1, 9)
+    return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
 
 
 def eig3_sym(C) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric 3x3 matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of symmetric 3x3 matrices by cyclic Jacobi sweeps.
 
-    Returns (w, V) with eigenvalues w sorted descending and unit
-    eigenvectors in the columns of V, so C = V @ diag(w) @ V.T.  Sweeps
-    visit the pivots (0,1), (0,2), (1,2) in that fixed order and stop once
-    the off-diagonal Frobenius norm falls below 1e-12 relative to ||C||_F,
+    C is one matrix or a stack (N, 3, 3) of them.  Returns (w, V) with
+    eigenvalues w sorted descending and unit eigenvectors in the columns
+    of V, so C = V @ diag(w) @ V.T, with C's leading axis.  Sweeps visit
+    the pivots (0,1), (0,2), (1,2) in that fixed order and stop once the
+    off-diagonal Frobenius norm falls below 1e-12 relative to ||C||_F,
     which keeps the result bit-deterministic for identical input.  The
     sort is stable, so exactly equal eigenvalues keep their sweep order.
     Input must be symmetric to 1e-10 relative in Frobenius norm.
+
+    The matrices of a stack are solved side by side with masked updates:
+    a matrix that has converged, or whose pivot is already zero, is left
+    as it is, so each result equals that of the matrix solved alone.
     """
     C = np.asarray(C, dtype=float)
-    if C.shape != (3, 3):
-        raise ValueError("expected a 3 x 3 matrix")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("matrix contains non-finite entries")
-    norm = float(np.linalg.norm(C))
-    if float(np.linalg.norm(C - C.T)) > 1e-10 * max(norm, 1e-300):
-        raise ValueError("matrix is not symmetric")
+    single = C.shape == (3, 3)
+    if not single and (C.ndim != 3 or C.shape[1:] != (3, 3)):
+        raise ValueError("expected a 3 x 3 matrix or a stack of them")
+    C = np.ascontiguousarray(C.reshape(-1, 3, 3))
 
-    A = (C + C.T) / 2.0
-    V = np.eye(3)
-    if norm == 0.0:
-        return np.zeros(3), V
+    def fail(lanes, problem):
+        if lanes.size:
+            raise ValueError(f"matrix{'' if single else f' {lanes[0]}'} {problem}")
 
+    fail(np.flatnonzero(~np.isfinite(C).all(axis=(1, 2))), "contains non-finite entries")
+    norm = _lane_norms(C)
+    CT = C.transpose(0, 2, 1)
+    fail(np.flatnonzero(_lane_norms(C - CT) > 1e-10 * np.maximum(norm, 1e-300)),
+         "is not symmetric")
+
+    A = (C + CT) / 2.0
+    diag = [A[:, i, i].copy() for i in range(3)]
+    off = {pq: A[:, pq[0], pq[1]].copy() for pq in ((0, 1), (0, 2), (1, 2))}
+    V = np.tile(np.eye(3), (len(C), 1, 1))
+    live = norm != 0.0
     tol = _JACOBI_TOL * norm
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(2.0 * (A[0, 1] ** 2 + A[0, 2] ** 2 + A[1, 2] ** 2))
-        if off < tol:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[p, q]
-            if apq == 0.0:
-                continue
-            tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-            if tau >= 0.0:
-                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            app, aqq = A[p, p], A[q, q]
-            A[p, p] = app - t * apq
-            A[q, q] = aqq + t * apq
-            A[p, q] = A[q, p] = 0.0
-            r = 3 - p - q  # the one index that is neither p nor q
-            arp, arq = A[r, p], A[r, q]
-            A[r, p] = A[p, r] = c * arp - s * arq
-            A[r, q] = A[q, r] = s * arp + c * arq
-            for i in range(3):
-                vip, viq = V[i, p], V[i, q]
-                V[i, p] = c * vip - s * viq
-                V[i, q] = s * vip + c * viq
+    # A lane whose pivot is zero divides by it below; pick drops the result.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_JACOBI_MAX_SWEEPS):
+            live &= ~(np.sqrt(2.0 * (off[0, 1] ** 2 + off[0, 2] ** 2 + off[1, 2] ** 2)) < tol)
+            if not live.any():
+                break
+            for p, q in ((0, 1), (0, 2), (1, 2)):
+                apq = off[p, q]
+                turn = live & (apq != 0.0)
+                if not turn.any():
+                    continue
 
-    w = np.diag(A).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
+                # Lanes that do not turn keep their entries bit for bit.
+                def pick(new, old, mask=turn, every=bool(turn.all())):
+                    return new if every else np.where(mask, new, old)
+
+                tau = (diag[q] - diag[p]) / (2.0 * apq)
+                root = np.sqrt(1.0 + tau * tau)
+                t = np.where(tau >= 0.0, 1.0 / (tau + root), -1.0 / (-tau + root))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                diag[p] = pick(diag[p] - t * apq, diag[p])
+                diag[q] = pick(diag[q] + t * apq, diag[q])
+                off[p, q] = pick(np.zeros_like(apq), apq)
+                r = 3 - p - q  # the one index that is neither p nor q
+                rp, rq = (min(r, p), max(r, p)), (min(r, q), max(r, q))
+                arp, arq = off[rp], off[rq]
+                off[rp] = pick(c * arp - s * arq, arp)
+                off[rq] = pick(s * arp + c * arq, arq)
+                vp, vq = V[:, :, p], V[:, :, q]
+                c, s, column = c[:, None], s[:, None], turn[:, None]
+                V[:, :, p], V[:, :, q] = (pick(c * vp - s * vq, vp, column),
+                                          pick(s * vp + c * vq, vq, column))
+
+    # A zero matrix has no sweeps; its eigenvalues are +0.0 whatever signs
+    # its zeros carry.
+    w = np.where(norm[:, None] == 0.0, 0.0, np.stack(diag, axis=1))
+    order = np.argsort(-w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    return (w[0], V[0]) if single else (w, V)
 
 
 @dataclass(frozen=True)
 class PCAFrame:
-    """The similarity transform that canonicalized a cloud.
+    """The similarity transform that canonicalized a cloud, or a stack of them.
 
     The canonical cloud is ((X - centroid) / scale) @ basis @ diag(signs).
     `basis` holds unit principal axes as columns in descending eigenvalue
     order, `signs` the per-axis sign choices; basis * signs always has
     determinant +1.  `singular_values` are those of the centered, scaled
     cloud, and `degenerate` records whether an eigenvalue tie or a sign
-    ambiguity forced a tie-break.
+    ambiguity forced a tie-break.  The frame of a stack (N, P, 3) gives
+    every field a leading axis of N, scale and degenerate included; that
+    of one cloud has a float scale and a bool degenerate.
     """
 
     centroid: np.ndarray
-    scale: float
+    scale: float | np.ndarray
     basis: np.ndarray
     signs: np.ndarray
     singular_values: np.ndarray
-    degenerate: bool
+    degenerate: bool | np.ndarray
 
 
 def rotation_of(frame: PCAFrame) -> np.ndarray:
     """The proper rotation basis @ diag(signs) applied by the frame."""
-    return frame.basis * frame.signs
+    return frame.basis * frame.signs[..., None, :]
 
 
 def apply_frame(frame: PCAFrame, points) -> np.ndarray:
@@ -183,47 +227,59 @@ def canonicalize_rotation(points, sign_reference: str = "first"
     mean_norm = float(np.linalg.norm(X, axis=1).mean())
     if float(np.linalg.norm(X.mean(axis=0))) > 1e-9 * max(mean_norm, 1e-300):
         raise ValueError("cloud is not centered; subtract the centroid first")
-    return _align(X, sign_reference, np.zeros(3), 1.0)
+    return _one_cloud(*_align(X[None], sign_reference, np.zeros((1, 3)), np.ones(1)))
 
 
 def _check_rotatable(X: np.ndarray, sign_reference: str) -> None:
-    if X.shape[0] < 3:
+    if X.shape[-2] < 3:
         raise ValueError("need at least 3 points to fix a rotation")
     if sign_reference not in ("first", "max_norm"):
         raise ValueError(f"unknown sign_reference {sign_reference!r}")
 
 
-def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
-           scale: float) -> tuple[np.ndarray, PCAFrame]:
-    """The rotation step of canonicalize_rotation on a validated cloud;
-    the frame records the centroid and scale already removed from X."""
-    norms = np.linalg.norm(X, axis=1)
-    mean_norm = float(norms.mean())
-    w, V = eig3_sym(X.T @ X)
-    P = X @ V
-    sign_tol = SIGN_RTOL * max(mean_norm, 1e-300)
+def _one_cloud(canonical: np.ndarray, frame: PCAFrame) -> tuple[np.ndarray, PCAFrame]:
+    """The result for a stack of one cloud, as the result for that cloud."""
+    return canonical[0], PCAFrame(
+        centroid=frame.centroid[0], scale=float(frame.scale[0]),
+        basis=frame.basis[0], signs=frame.signs[0],
+        singular_values=frame.singular_values[0],
+        degenerate=bool(frame.degenerate[0]))
 
-    degenerate = bool(np.any(w[:-1] - w[1:] < EIG_TIE_RTOL * max(w[0], 1e-300)))
+
+def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
+           scale: np.ndarray) -> tuple[np.ndarray, PCAFrame]:
+    """The rotation step of canonicalize_rotation on a validated stack
+    (N, P, 3); the frame records the centroids and scales already removed
+    from X."""
+    lanes = np.arange(len(X))
+    norms = np.linalg.norm(X, axis=2)
+    w, V = eig3_sym(X.transpose(0, 2, 1) @ X)
+    P = X @ V
+    sign_tol = SIGN_RTOL * np.maximum(norms.mean(axis=1), 1e-300)[:, None]
+
+    degenerate = np.any(w[:, :-1] - w[:, 1:]
+                        < EIG_TIE_RTOL * np.maximum(w[:, :1], 1e-300), axis=1)
 
     if sign_reference == "first":
-        ref = 0
+        ref = np.zeros(len(X), dtype=int)
     else:
-        ref = max(range(X.shape[0]), key=lambda i: (norms[i], tuple(X[i])))
+        # The last of an ascending sort by (norm, x, y, z); points that
+        # tie on all four are the same point.
+        ref = np.lexsort((X[..., 2], X[..., 1], X[..., 0], norms), axis=1)[:, -1]
 
-    signs = np.ones(3)
-    for j in range(3):
-        v = P[ref, j]
-        if abs(v) > sign_tol:
-            signs[j] = 1.0 if v > 0.0 else -1.0
-        else:
-            degenerate = True
-            decisive = np.nonzero(np.abs(P[:, j]) > sign_tol)[0]
-            if decisive.size:
-                signs[j] = 1.0 if P[decisive[0], j] > 0.0 else -1.0
-    if float(np.linalg.det(V * signs)) < 0.0:
-        signs[2] = -signs[2]
+    # Each axis takes the sign of the reference point's projection or,
+    # when that is within sign_tol of zero, of the first decisive one.
+    pinned = P[lanes, ref]
+    settled = np.abs(pinned) > sign_tol
+    decisive = np.abs(P) > sign_tol[:, None]
+    first = P[lanes[:, None], decisive.argmax(axis=1), np.arange(3)]
+    chosen = np.where(settled, pinned, np.where(decisive.any(axis=1), first, 1.0))
+    signs = np.where(chosen > 0.0, 1.0, -1.0)
+    degenerate |= ~settled.all(axis=1)
+    reflected = np.linalg.det(V * signs[:, None, :]) < 0.0
+    signs[reflected, 2] = -signs[reflected, 2]
 
-    canonical = P * signs
+    canonical = P * signs[:, None, :]
     frame = PCAFrame(
         centroid=centroid,
         scale=scale,
@@ -242,13 +298,32 @@ def canonicalize_similarity(points, sign_reference: str = "first"
     Returns the canonical cloud and the frame that produced it;
     apply_frame(frame, original) reproduces the canonical cloud.  Clouds
     related by any combination of rotation, uniform scaling and
-    translation map to the same canonical cloud up to rounding.  The input
-    is validated once; the centered cloud is not re-checked for being
-    centered, which rounding breaks at offsets far beyond its spread.
+    translation map to the same canonical cloud up to rounding.  The
+    centered cloud is not re-checked for being centered, which rounding
+    breaks at offsets far beyond its spread.  This is canonicalize_clouds
+    on a stack of one.
     """
-    X = as_cloud(points)
-    centroid = X.mean(axis=0)
-    scaled, scale = _unit_scale(X - centroid)
+    return _one_cloud(*canonicalize_clouds(as_cloud(points)[None], sign_reference))
+
+
+def canonicalize_clouds(clouds, sign_reference: str = "first"
+                        ) -> tuple[np.ndarray, PCAFrame]:
+    """canonicalize_similarity of every cloud of a stack (N, P, 3) at once.
+
+    Returns the stack of canonical clouds and one PCAFrame whose fields
+    all carry the leading axis N.  Each cloud's canonical form and frame
+    equal those canonicalize_similarity gives it alone, bit for bit, so
+    they do not depend on the other clouds of the stack.  A cloud whose
+    points all coincide raises DegenerateCloudError, which names its
+    index when the stack holds more than one cloud.
+    """
+    X = np.asarray(clouds, dtype=float)
+    if X.ndim != 3 or X.shape[2] != 3 or X.shape[1] < 1:
+        raise ValueError("expected an N x P x 3 stack of point clouds")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("point cloud contains non-finite coordinates")
+    centroid = X.mean(axis=1)
+    scaled, scale = _unit_scale(X - centroid[:, None, :])
     _check_rotatable(scaled, sign_reference)
     return _align(scaled, sign_reference, centroid, scale)
 

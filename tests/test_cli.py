@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from orbitcanon.audit import gen_synthetic_clouds, gen_synthetic_images
+from orbitcanon.audit import (LabeledDataset, gen_synthetic_clouds, gen_synthetic_images,
+                              rotation_about)
 from orbitcanon.cli import run
 from orbitcanon.cloud import canonicalize_similarity
 from orbitcanon.formats import (
@@ -154,12 +156,15 @@ class TestCanonCloud:
                                    read_xyz(near.with_suffix(".canon").read_text()),
                                    atol=1e-7)
 
-    def test_degenerate_cloud_exit_code(self, tmp_path):
+    def test_degenerate_cloud_exit_code(self, tmp_path, capsys):
         path = tmp_path / "flat.xyz"
         path.write_text(write_xyz(np.zeros((5, 3))))
         code = run(["canon-cloud", "--in", str(path),
                     "--out", str(tmp_path / "c.xyz")])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "error: degenerate input: every point is at the origin; "
+            "no scale to remove\n")
 
 
 class TestGenData:
@@ -214,6 +219,28 @@ class TestTrainAndAudit:
         assert doc.canonicalized
         assert doc.clean == doc.average == doc.worst
         assert len(doc.curve) == 256
+
+    @pytest.mark.parametrize("command", ["audit-rot3d", "train"])
+    def test_degenerate_cloud_in_dataset_is_named(self, tmp_path, capsys, command):
+        data = gen_synthetic_clouds(seed=0, n_per_class=2)
+        inputs = data.inputs.copy()
+        inputs[5] = [3.0, -1.0, 2.0]  # every point of cloud 5 coincides
+        bad = tmp_path / "bad"
+        save_dataset(LabeledDataset(kind="cloud", inputs=inputs, targets=data.targets,
+                                    class_names=data.class_names, seed=0), bad)
+        model_path = tmp_path / "model.bin"
+        train = ["train", "--mode", "plain", "--epochs", "2", "--canon", "train",
+                 "--model", str(model_path)]
+        if command == "train":
+            code = run(train + ["--data", str(bad)])
+        else:
+            assert run(train + ["--data", str(_gen(tmp_path, "clouds", per_class=2))]) == 0
+            code = run(["audit-rot3d", "--model", str(model_path), "--data", str(bad),
+                        "--out", str(tmp_path / "rot3d.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: degenerate input: cloud 5: every point is at the origin; "
+            "no scale to remove\n")
 
     def test_scale_audit(self, tmp_path):
         data = _gen(tmp_path, "clouds", seed=0, per_class=4)
@@ -433,6 +460,25 @@ class TestCurve:
         assert len(rows) == 16
         probs = np.array([float(r.split(",")[2]) for r in rows])
         assert np.ptp(probs) <= 1e-8
+
+        # The stacked canonicalizer gives the bytes of canonicalizing every
+        # rotated copy alone, row by row as softmax_curve scores them.
+        model = load_model(model_path.read_bytes())
+        datum = read_xyz(sample.read_text())
+        angles = 2.0 * np.pi * np.arange(16) / 16.0
+        label = int(np.argmax(model.logits(canonicalize_similarity(datum)[0].reshape(1, -1))))
+        rows = []
+        for i, a in enumerate(angles):
+            row = canonicalize_similarity(datum @ rotation_about(2, float(a)))[0]
+            z = model.logits(row.reshape(1, -1))
+            shifted = z - z.max(axis=1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            rows.append((i, math.degrees(float(a)), float(np.exp(logp)[0, label])))
+        expected = write_table(
+            "# orbitcanon curve v1",
+            {"kind": "cloud", "label": label, "scheme": "bilinear"},
+            "index,angle_degrees,probability", rows)
+        assert out.read_text() == expected
 
     def test_image_curve_full_circle(self, tmp_path):
         data = _gen(tmp_path, "images", seed=2, per_class=1)

@@ -8,6 +8,7 @@ from orbitcanon.cloud import (
     SimilarityMapping,
     apply_frame,
     as_cloud,
+    canonicalize_clouds,
     canonicalize_rotation,
     canonicalize_similarity,
     center_cloud,
@@ -30,6 +31,55 @@ def _lex_rows(points):
     """Rows sorted lexicographically, for order-free set comparison."""
     p = np.asarray(points)
     return p[np.lexsort((p[:, 2], p[:, 1], p[:, 0]))]
+
+
+def _reference_eig3_sym(C):
+    """One matrix at a time by cyclic Jacobi sweeps: the scalar solver the
+    stacked eig3_sym replaced, kept as the reference it must equal bit for
+    bit (same pivots, formulas, stopping test and stable sort)."""
+    C = np.asarray(C, dtype=float)
+    norm = float(np.linalg.norm(C))
+    A = (C + C.T) / 2.0
+    V = np.eye(3)
+    if norm == 0.0:
+        return np.zeros(3), V
+    tol = 1e-12 * norm
+    for _ in range(50):
+        off = np.sqrt(2.0 * (A[0, 1] ** 2 + A[0, 2] ** 2 + A[1, 2] ** 2))
+        if off < tol:
+            break
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = A[p, q]
+            if apq == 0.0:
+                continue
+            tau = (A[q, q] - A[p, p]) / (2.0 * apq)
+            if tau >= 0.0:
+                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            app, aqq = A[p, p], A[q, q]
+            A[p, p] = app - t * apq
+            A[q, q] = aqq + t * apq
+            A[p, q] = A[q, p] = 0.0
+            r = 3 - p - q
+            arp, arq = A[r, p], A[r, q]
+            A[r, p] = A[p, r] = c * arp - s * arq
+            A[r, q] = A[q, r] = s * arp + c * arq
+            for i in range(3):
+                vip, viq = V[i, p], V[i, q]
+                V[i, p] = c * vip - s * viq
+                V[i, q] = s * vip + c * viq
+    w = np.diag(A).copy()
+    order = np.argsort(-w, kind="stable")
+    return w[order], V[:, order]
+
+
+def _assert_bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 AXIS_ALIGNED = np.array([
@@ -163,6 +213,60 @@ class TestEig3Sym:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             eig3_sym(np.eye(4))
+        with pytest.raises(ValueError):
+            eig3_sym(np.zeros((2, 3, 4)))
+
+
+class TestEig3SymStack:
+    """A stack (N, 3, 3) is solved lane by lane as the scalar solver would."""
+
+    def test_bitwise_reference_on_anisotropic_covariances(self):
+        rng = np.random.default_rng(216)
+        stack = []
+        for _ in range(2000):
+            x = rng.normal(size=(int(rng.integers(3, 100)), 3))
+            x = x * rng.uniform(0.05, 3.0, size=3) * 10.0 ** rng.integers(-4, 5)
+            stack.append(x.T @ x)
+        w, v = eig3_sym(np.array(stack))
+        for c, wi, vi in zip(stack, w, v):
+            rw, rv = _reference_eig3_sym(c)
+            _assert_bits_equal(wi, rw)
+            _assert_bits_equal(vi, rv)
+
+    def test_mixed_stack_lanes_are_independent(self):
+        """Lanes that never sweep, start converged, tie or sweep normally."""
+        rng = np.random.default_rng(217)
+        a = rng.normal(size=(3, 3))
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        stack = np.array([
+            np.zeros((3, 3)),
+            np.diag([2.0, 5.0, 3.0]),  # every pivot is zero from the start
+            np.eye(3),
+            q @ np.diag([4.0, 4.0, 1.0]) @ q.T,  # a repeated eigenvalue, up to rounding
+            np.diag([2.0, 2.0, 2.0]) + np.ones((3, 3)),  # eigenvalues exactly 5, 2, 2
+            a @ a.T,
+        ])
+        w, v = eig3_sym(stack)
+        assert w.shape == (6, 3) and v.shape == (6, 3, 3)
+        for c, wi, vi in zip(stack, w, v):
+            rw, rv = _reference_eig3_sym(c)
+            _assert_bits_equal(wi, rw)
+            _assert_bits_equal(vi, rv)
+            alone_w, alone_v = eig3_sym(c)
+            _assert_bits_equal(wi, alone_w)
+            _assert_bits_equal(vi, alone_v)
+        _assert_bits_equal(w[0], np.zeros(3))
+        _assert_bits_equal(v[0], np.eye(3))
+
+    def test_bad_lane_is_named(self):
+        stack = np.tile(np.eye(3), (4, 1, 1))
+        stack[2, 0, 1] = 1e-6
+        with pytest.raises(ValueError, match="matrix 2 is not symmetric"):
+            eig3_sym(stack)
+        stack = np.tile(np.eye(3), (4, 1, 1))
+        stack[3, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="matrix 3 contains non-finite entries"):
+            eig3_sym(stack)
 
 
 class TestCanonicalizeRotation:
@@ -326,3 +430,69 @@ class TestSimilarityMapping:
         _, frame = canonicalize_similarity(AXIS_ALIGNED)
         np.testing.assert_allclose(res.energy, frame.singular_values[0] ** 2,
                                    rtol=1e-12)
+
+
+def _frame_fields(frame):
+    return (frame.centroid, frame.scale, frame.basis, frame.signs,
+            frame.singular_values, frame.degenerate)
+
+
+class TestCanonicalizeClouds:
+    """The stacked canonicalizer: each lane is its cloud canonicalized alone."""
+
+    @staticmethod
+    def _stack():
+        """Eight-point clouds: the tie-broken cube, sign fallbacks, an
+        octahedral eigen-tie and ordinary clouds, rotated and shifted."""
+        rng = np.random.default_rng(218)
+        origin = np.zeros((2, 3))
+        cube = np.array([[x, y, z] for x in (-1.0, 1.0)
+                         for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+        octahedron = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0],
+                               [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
+        fallback = np.vstack([AXIS_ALIGNED, origin])
+        clouds = [cube, fallback, np.vstack([octahedron, origin]),
+                  fallback @ _random_rotation(rng) * 3.0 + 1.0]
+        clouds += [rng.normal(size=(8, 3)) * [1.5, 1.0, 0.5] @ _random_rotation(rng)
+                   + rng.normal(size=3) for _ in range(4)]
+        return np.array(clouds)
+
+    @pytest.mark.parametrize("sign_reference", ["first", "max_norm"])
+    def test_lanes_equal_clouds_alone(self, sign_reference):
+        stack = self._stack()
+        canonical, frame = canonicalize_clouds(stack, sign_reference)
+        assert canonical.shape == stack.shape
+        assert frame.scale.shape == frame.degenerate.shape == (len(stack),)
+        for i, cloud in enumerate(stack):
+            alone, alone_frame = canonicalize_similarity(cloud, sign_reference)
+            _assert_bits_equal(canonical[i], alone)
+            for stacked, single in zip(_frame_fields(frame), _frame_fields(alone_frame)):
+                _assert_bits_equal(stacked[i], single)
+        # The cube ties all eigenvalues, the next two clouds fall back to a
+        # decisive point for the sign; the ordinary clouds need no tie-break.
+        assert frame.degenerate[:3].all()
+        assert not frame.degenerate[4:].any()
+
+    def test_one_cloud_views_keep_scalar_fields(self):
+        _, frame = canonicalize_similarity(AXIS_ALIGNED)
+        assert type(frame.scale) is float and type(frame.degenerate) is bool
+        _, frame = canonicalize_rotation(AXIS_ALIGNED)
+        assert type(frame.scale) is float and type(frame.degenerate) is bool
+
+    def test_degenerate_cloud_is_named(self):
+        stack = np.random.default_rng(219).normal(size=(8, 6, 3))
+        stack[5] = [3.0, -1.0, 2.0]
+        with pytest.raises(DegenerateCloudError,
+                           match="^cloud 5: every point is at the origin"):
+            canonicalize_clouds(stack)
+        with pytest.raises(DegenerateCloudError,
+                           match="^every point is at the origin"):
+            canonicalize_similarity(stack[5])
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError):
+            canonicalize_clouds(np.ones((4, 3)))
+        bad = np.ones((2, 4, 3))
+        bad[1, 2, 0] = np.inf
+        with pytest.raises(ValueError):
+            canonicalize_clouds(bad)
