@@ -15,6 +15,7 @@ of a kind of data they do not take.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -29,8 +30,9 @@ from .groups import (check_group_axioms, equivariant_average, equivariant_canon,
                      finite_orbit_canonicalize, invariant_wrap,
                      quarter_turn_group, symmetric_group)
 from .image import (GrayImage, SCHEMES, canonical_angle, canonicalize_image,
-                    gaussian_blur, mean_gradient, rotate_image, smooth_model)
-from .vectors import MeanShiftMapping, SortMapping, sort_canonicalize, sort_energy
+                    mean_gradient, rotate_image, smooth_model)
+from .vectors import (MeanShiftMapping, SortMapping, mean_subtract, sort_canonicalize,
+                      sort_energy)
 
 _MODE_NAMES = {"plain": "plain", "ra": "random_augment", "adv": "adversarial",
                "mixed": "mixed", "adv-alp": "adversarial_alp",
@@ -217,142 +219,146 @@ def _cmd_curve(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest
+# selftest: each check asserts one invariant on data it draws from the
+# generator it is given, a fresh default_rng(SELFTEST_SEED) per check, so
+# any check runs alone.  SELFTEST_CHECKS lists them in the order selftest
+# runs them; tests/test_acceptance.py runs each as a test of its own.
+
+SELFTEST_SEED = 20240817
 
 
-def _selftest_checks():
-    """Yield (name, callable) pairs; each callable asserts one invariant."""
-    rng = np.random.default_rng(20240817)
+def _group_axioms(rng):
+    check_group_axioms(quarter_turn_group(), [rng.random((4, 4))])
+    check_group_axioms(symmetric_group(3), [rng.random(3)])
 
-    def groups_axioms():
-        check_group_axioms(quarter_turn_group(), [rng.random((4, 4))])
-        check_group_axioms(symmetric_group(3), [rng.random(3)])
 
-    def sort_oracle():
-        import itertools
-        for _ in range(200):
-            x = np.round(rng.normal(size=4), 3)
-            best = max((tuple(x[list(p)]) for p in
-                        itertools.permutations(range(4))),
-                       key=lambda v: (sort_energy(np.array(v)), v))
-            got = sort_canonicalize(x).canonical
-            assert tuple(got) == best, (x, got, best)
+def _sort_oracle(rng):
+    for _ in range(200):
+        x = np.round(rng.normal(size=4), 3)
+        best = max((tuple(x[list(p)]) for p in itertools.permutations(range(4))),
+                   key=lambda v: (sort_energy(np.array(v)), v))
+        got = sort_canonicalize(x).canonical
+        assert tuple(got) == best, (x, got, best)
 
-    def shift_invariance():
-        from .vectors import mean_subtract
-        for _ in range(100):
-            x = rng.normal(size=8)
-            a, _ = mean_subtract(x)
-            b, _ = mean_subtract(x + rng.normal())
-            assert np.allclose(a, b, atol=1e-12)
 
-    def eig_reconstruction():
-        for _ in range(100):
-            A = rng.normal(size=(3, 3))
-            C = A + A.T
-            w, V = eig3_sym(C)
-            assert np.linalg.norm(V @ np.diag(w) @ V.T - C) < 1e-9
-            assert w[0] >= w[1] >= w[2]
+def _shift_invariance(rng):
+    for _ in range(100):
+        x = rng.normal(size=8)
+        a, _ = mean_subtract(x)
+        b, _ = mean_subtract(x + rng.normal())
+        assert np.allclose(a, b, atol=1e-12)
 
-    def cloud_invariance():
-        for _ in range(20):
-            X = rng.normal(size=(32, 3)) * np.array([1.5, 1.0, 0.6])
-            c0, _ = canonicalize_similarity(X)
-            theta = rng.uniform(0, 2 * np.pi)
-            R = _audit.rotation_about(int(rng.integers(3)), theta)
-            Y = rng.uniform(0.5, 2.0) * (X @ R) + rng.normal(size=3)
-            c1, _ = canonicalize_similarity(Y)
-            assert np.abs(c0 - c1).max() < 1e-8
 
-    def rotation_identity():
-        img = rng.random((12, 12))
-        for scheme in SCHEMES:
-            assert np.array_equal(rotate_image(img, 0.0, scheme), img)
-        q = rotate_image(img, math.pi / 2, "nearest")
-        assert np.array_equal(q, np.rot90(img, 1))
-
-    def angle_consistency():
-        data = _audit.gen_synthetic_images(seed=12, n_per_class=1)
-        img = data.inputs[0]
-        a0, _ = canonical_angle(mean_gradient(smooth_model(img, 1.0)))
-        for deg in (30, 120, 250):
-            beta = math.radians(deg)
-            rot = rotate_image(img, beta, "bilinear")
-            a, _ = canonical_angle(mean_gradient(smooth_model(rot, 1.0)))
-            diff = (a - (a0 - beta) + math.pi) % (2 * math.pi) - math.pi
-            assert abs(diff) < math.radians(2.0), (deg, diff)
-
-    def equivariance():
-        grid = np.round(rng.random((8, 8)) * 256) / 256
-        mask = np.round(rng.random((8, 8)) * 16) / 16
-
-        def inner(a):
-            return np.asarray(a) * mask
-
-        g4 = quarter_turn_group()
-        left = equivariant_average(np.rot90(grid, 1), g4, inner)
-        right = np.rot90(equivariant_average(grid, g4, inner), 1)
-        assert np.array_equal(left, right)
-
-        mapping = SimilarityMapping()
-        X = rng.normal(size=(24, 3)) * np.array([1.4, 1.0, 0.7])
+def _eig_reconstruction(rng):
+    for _ in range(100):
         A = rng.normal(size=(3, 3))
+        C = A + A.T
+        w, V = eig3_sym(C)
+        assert np.linalg.norm(V @ np.diag(w) @ V.T - C) < 1e-9
+        assert w[0] >= w[1] >= w[2]
 
-        def inner3(c):
-            return np.asarray(c) @ A
 
-        R = _audit.rotation_about(2, 0.7)
-        left3 = equivariant_canon(X @ R, mapping, inner3)
-        right3 = equivariant_canon(X, mapping, inner3) @ R
-        assert np.abs(left3 - right3).max() < 1e-8
+def _cloud_invariance(rng):
+    for _ in range(20):
+        X = rng.normal(size=(32, 3)) * np.array([1.5, 1.0, 0.6])
+        c0, _ = canonicalize_similarity(X)
+        theta = rng.uniform(0, 2 * np.pi)
+        R = _audit.rotation_about(int(rng.integers(3)), theta)
+        Y = rng.uniform(0.5, 2.0) * (X @ R) + rng.normal(size=3)
+        c1, _ = canonicalize_similarity(Y)
+        assert np.abs(c0 - c1).max() < 1e-8
 
-    def roundtrips():
-        img = GrayImage(rng.random((9, 7)))
-        back = _formats.read_pgm(_formats.write_pgm(img, maxval=65535))
-        assert np.abs(back.pixels - img.pixels).max() < 1e-4
-        X = rng.normal(size=(10, 3))
-        assert np.array_equal(_formats.read_xyz(_formats.write_xyz(X)), X)
-        model = _audit.LinearSoftmaxModel(
-            weights=rng.normal(size=(3, 5)), bias=rng.normal(size=3),
-            kind="cloud", canonicalize="train_and_test")
-        loaded = _formats.load_model(_formats.save_model(model))
-        assert np.array_equal(loaded.weights, model.weights)
-        assert np.array_equal(loaded.bias, model.bias)
-        assert loaded.canonicalize == model.canonicalize
 
-    def wrapped_invariance():
-        mapping = SortMapping()
-        f = invariant_wrap(mapping, lambda v: float(np.sum(v * np.arange(len(v)))))
-        x = rng.normal(size=5)
-        p = rng.permutation(5)
-        assert f(x) == f(x[p])
-        res = finite_orbit_canonicalize(x, symmetric_group(5),
-                                        energy=sort_energy)
-        assert np.allclose(res.canonical, sort_canonicalize(x).canonical)
-        shift = MeanShiftMapping()
-        g = invariant_wrap(shift, lambda v: float(v @ v))
-        assert abs(g(x) - g(x + 3.25)) < 1e-9
+def _rotation_identity(rng):
+    img = rng.random((12, 12))
+    for scheme in SCHEMES:
+        assert np.array_equal(rotate_image(img, 0.0, scheme), img)
+    q = rotate_image(img, math.pi / 2, "nearest")
+    assert np.array_equal(q, np.rot90(img, 1))
 
-    return [
-        ("group axioms (C4, S3)", groups_axioms),
-        ("sort canonicalization matches brute force", sort_oracle),
-        ("mean subtraction is shift invariant", shift_invariance),
-        ("jacobi eigendecomposition reconstructs", eig_reconstruction),
-        ("cloud canonicalization is similarity invariant", cloud_invariance),
-        ("zero rotation is the identity; quarter turn is rot90", rotation_identity),
-        ("canonical angle tracks rotations", angle_consistency),
-        ("group averaging and canonicalizer conjugation are equivariant",
-         equivariance),
-        ("file formats round-trip", roundtrips),
-        ("invariant wrappers are invariant", wrapped_invariance),
-    ]
+
+def _angle_consistency(rng):
+    data = _audit.gen_synthetic_images(seed=12, n_per_class=1)
+    img = data.inputs[0]
+    a0, _ = canonical_angle(mean_gradient(smooth_model(img, 1.0)))
+    for deg in (30, 120, 250):
+        beta = math.radians(deg)
+        rot = rotate_image(img, beta, "bilinear")
+        a, _ = canonical_angle(mean_gradient(smooth_model(rot, 1.0)))
+        diff = (a - (a0 - beta) + math.pi) % (2 * math.pi) - math.pi
+        assert abs(diff) < math.radians(2.0), (deg, diff)
+
+
+def _equivariance(rng):
+    grid = np.round(rng.random((8, 8)) * 256) / 256
+    mask = np.round(rng.random((8, 8)) * 16) / 16
+
+    def inner(a):
+        return np.asarray(a) * mask
+
+    g4 = quarter_turn_group()
+    left = equivariant_average(np.rot90(grid, 1), g4, inner)
+    right = np.rot90(equivariant_average(grid, g4, inner), 1)
+    assert np.array_equal(left, right)
+
+    mapping = SimilarityMapping()
+    X = rng.normal(size=(24, 3)) * np.array([1.4, 1.0, 0.7])
+    A = rng.normal(size=(3, 3))
+
+    def inner3(c):
+        return np.asarray(c) @ A
+
+    R = _audit.rotation_about(2, 0.7)
+    left3 = equivariant_canon(X @ R, mapping, inner3)
+    right3 = equivariant_canon(X, mapping, inner3) @ R
+    assert np.abs(left3 - right3).max() < 1e-8
+
+
+def _roundtrips(rng):
+    img = GrayImage(rng.random((9, 7)))
+    back = _formats.read_pgm(_formats.write_pgm(img, maxval=65535))
+    assert np.abs(back.pixels - img.pixels).max() < 1e-4
+    X = rng.normal(size=(10, 3))
+    assert np.array_equal(_formats.read_xyz(_formats.write_xyz(X)), X)
+    model = _audit.LinearSoftmaxModel(
+        weights=rng.normal(size=(3, 5)), bias=rng.normal(size=3),
+        kind="cloud", canonicalize="train_and_test")
+    loaded = _formats.load_model(_formats.save_model(model))
+    assert np.array_equal(loaded.weights, model.weights)
+    assert np.array_equal(loaded.bias, model.bias)
+    assert loaded.canonicalize == model.canonicalize
+
+
+def _wrapped_invariance(rng):
+    f = invariant_wrap(SortMapping(), lambda v: float(np.sum(v * np.arange(len(v)))))
+    x = rng.normal(size=5)
+    p = rng.permutation(5)
+    assert f(x) == f(x[p])
+    res = finite_orbit_canonicalize(x, symmetric_group(5), energy=sort_energy)
+    assert np.allclose(res.canonical, sort_canonicalize(x).canonical)
+    g = invariant_wrap(MeanShiftMapping(), lambda v: float(v @ v))
+    assert abs(g(x) - g(x + 3.25)) < 1e-9
+
+
+SELFTEST_CHECKS = (
+    ("group axioms (C4, S3)", _group_axioms),
+    ("sort canonicalization matches brute force", _sort_oracle),
+    ("mean subtraction is shift invariant", _shift_invariance),
+    ("jacobi eigendecomposition reconstructs", _eig_reconstruction),
+    ("cloud canonicalization is similarity invariant", _cloud_invariance),
+    ("zero rotation is the identity; quarter turn is rot90", _rotation_identity),
+    ("canonical angle tracks rotations", _angle_consistency),
+    ("group averaging and canonicalizer conjugation are equivariant", _equivariance),
+    ("file formats round-trip", _roundtrips),
+    ("invariant wrappers are invariant", _wrapped_invariance),
+)
 
 
 def _cmd_selftest() -> int:
     failures = 0
-    for name, check in _selftest_checks():
+    for name, check in SELFTEST_CHECKS:
         try:
-            check()
+            check(np.random.default_rng(SELFTEST_SEED))
         except Exception as exc:  # noqa: BLE001 - report and keep going
             failures += 1
             print(f"FAIL {name}: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ canonicalize_rotation are that work on a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -180,6 +180,9 @@ class PCAFrame:
     ambiguity forced a tie-break.  The frame of a stack (N, P, 3) gives
     every field a leading axis of N, scale and degenerate included; that
     of one cloud has a float scale and a bool degenerate.
+
+    A frame is also the canonicalizing group element: `transform` applies
+    it to a cloud and `inverted` gives the frame of the inverse map.
     """
 
     centroid: np.ndarray
@@ -189,16 +192,21 @@ class PCAFrame:
     singular_values: np.ndarray
     degenerate: bool | np.ndarray
 
+    @property
+    def rotation(self) -> np.ndarray:
+        """The proper rotation basis @ diag(signs) applied by the frame."""
+        return self.basis * self.signs[..., None, :]
 
-def rotation_of(frame: PCAFrame) -> np.ndarray:
-    """The proper rotation basis @ diag(signs) applied by the frame."""
-    return frame.basis * frame.signs[..., None, :]
+    def transform(self, points) -> np.ndarray:
+        """Run a cloud through the frame: ((X - centroid) / scale) @ rotation."""
+        return ((as_cloud(points) - self.centroid) / self.scale) @ self.rotation
 
-
-def apply_frame(frame: PCAFrame, points) -> np.ndarray:
-    """Run a cloud through a previously computed canonicalizing frame."""
-    X = as_cloud(points)
-    return ((X - frame.centroid) / frame.scale) @ rotation_of(frame)
+    def inverted(self) -> PCAFrame:
+        """The frame of one cloud's inverse map, Y -> scale * (Y @ rotation.T)
+        + centroid; singular_values and degenerate are carried over."""
+        R = self.rotation
+        return replace(self, centroid=-(self.centroid @ R) / self.scale,
+                       scale=1.0 / self.scale, basis=R.T, signs=np.ones(3))
 
 
 def canonicalize_rotation(points, sign_reference: str = "first"
@@ -296,7 +304,7 @@ def canonicalize_similarity(points, sign_reference: str = "first"
     """Full similarity canonicalization: center, unit-scale, then rotate.
 
     Returns the canonical cloud and the frame that produced it;
-    apply_frame(frame, original) reproduces the canonical cloud.  Clouds
+    frame.transform(original) reproduces the canonical cloud.  Clouds
     related by any combination of rotation, uniform scaling and
     translation map to the same canonical cloud up to rounding.  The
     centered cloud is not re-checked for being centered, which rounding
@@ -328,27 +336,10 @@ def canonicalize_clouds(clouds, sign_reference: str = "first"
     return _align(scaled, sign_reference, centroid, scale)
 
 
-@dataclass(frozen=True)
-class Similarity:
-    """A similarity map x -> scale * (x @ matrix) + offset on row points."""
-
-    matrix: np.ndarray
-    scale: float
-    offset: np.ndarray
-
-    def transform(self, points) -> np.ndarray:
-        return self.scale * (as_cloud(points) @ self.matrix) + self.offset
-
-    def inverted(self) -> "Similarity":
-        inv = self.matrix.T
-        return Similarity(matrix=inv, scale=1.0 / self.scale,
-                          offset=-(self.offset @ inv) / self.scale)
-
-
 class SimilarityMapping:
     """Cloud canonicalizer in the interface the equivariant wrapper expects.
 
-    The element is the canonicalizing Similarity itself; its energy is the
+    The element is the canonicalizing PCAFrame itself; its energy is the
     variance captured along the leading canonical axis, the quantity the
     axis alignment maximizes.
     """
@@ -359,17 +350,9 @@ class SimilarityMapping:
     def __call__(self, points) -> CanonResult:
         canonical, frame = canonicalize_similarity(
             points, sign_reference=self.sign_reference)
-        rot = rotation_of(frame)
-        element = Similarity(matrix=rot, scale=1.0 / frame.scale,
-                             offset=-(frame.centroid @ rot) / frame.scale)
-        return CanonResult(canonical=canonical, element=element,
+        return CanonResult(canonical=canonical, element=frame,
                            degenerate=frame.degenerate,
                            energy=float(frame.singular_values[0] ** 2))
 
-    @staticmethod
-    def apply(element: Similarity, points) -> np.ndarray:
-        return element.transform(points)
-
-    @staticmethod
-    def inverse(element: Similarity) -> Similarity:
-        return element.inverted()
+    apply = staticmethod(PCAFrame.transform)
+    inverse = staticmethod(PCAFrame.inverted)

@@ -1,4 +1,5 @@
-"""Acceptance gate: ten structural criteria, one test per criterion.
+"""Acceptance gate: ten structural criteria, one test per criterion, and
+each check of `orbitcanon selftest` as a test of its own.
 
 Every tolerance and seed below is pinned; the cloud/image training
 configurations come from the committed pilot configuration (seeds chosen
@@ -24,6 +25,7 @@ from orbitcanon.audit import (
     gen_synthetic_images,
     train_classifier,
 )
+from orbitcanon.cli import SELFTEST_CHECKS, SELFTEST_SEED
 from orbitcanon.cli import run as cli_run
 from orbitcanon.cloud import SimilarityMapping, canonicalize_similarity
 from orbitcanon.formats import write_report
@@ -412,3 +414,11 @@ def test_criterion_10_byte_identical_runs(tmp_path):
     assert artifacts[0][2] == artifacts[1][2]
     assert artifacts[0][3] == artifacts[1][3]
     print("criterion 10: model, report and dataset bytes identical")
+
+
+@pytest.mark.parametrize("check", [check for _, check in SELFTEST_CHECKS],
+                         ids=[name for name, _ in SELFTEST_CHECKS])
+def test_selftest_check(check):
+    """Each `orbitcanon selftest` check, alone, with the generator selftest
+    gives it."""
+    check(np.random.default_rng(SELFTEST_SEED))

@@ -8,6 +8,7 @@ import pytest
 
 from orbitcanon.audit import (LabeledDataset, gen_synthetic_clouds, gen_synthetic_images,
                               rotation_about)
+from orbitcanon import cli
 from orbitcanon.cli import run
 from orbitcanon.cloud import canonicalize_similarity
 from orbitcanon.formats import (
@@ -122,15 +123,40 @@ class TestCanonCloud:
         np.testing.assert_allclose(read_xyz(out_b.read_text()),
                                    read_xyz(out_a.read_text()), atol=1e-8)
 
+    @staticmethod
+    def _assert_frame_file_is_frame(tmp_path, infile, pts):
+        """Every value of the --frame file equals the canonicalize_similarity
+        frame of the same cloud exactly; returns that frame."""
+        path = tmp_path / "frame.csv"
+        assert run(["canon-cloud", "--in", str(infile),
+                    "--out", str(tmp_path / "c.xyz"), "--frame", str(path)]) == 0
+        _, frame = canonicalize_similarity(pts)
+        lines = path.read_text().splitlines()
+        flag = "true" if frame.degenerate else "false"
+        assert lines[:3] == ["# orbitcanon canon-cloud frame v1",
+                             f"# degenerate={flag}", "field,x,y,z"]
+        rows = {name: [float(v) for v in values if v]
+                for name, *values in (line.split(",") for line in lines[3:])}
+        expected = {"centroid": frame.centroid, "scale": [frame.scale],
+                    "signs": frame.signs, "singular_values": frame.singular_values}
+        expected.update((f"basis_row{i}", frame.basis[i]) for i in range(3))
+        assert list(rows) == list(expected)
+        for name, values in expected.items():
+            assert rows[name] == list(values), name
+        return frame
+
     def test_frame_csv_written(self, tmp_path, cloud_file):
-        infile, _ = cloud_file
-        frame = tmp_path / "frame.csv"
-        code = run(["canon-cloud", "--in", str(infile),
-                    "--out", str(tmp_path / "c.xyz"), "--frame", str(frame)])
-        assert code == 0
-        text = frame.read_text()
-        for key in ("centroid", "scale", "signs", "singular_values"):
-            assert key in text
+        infile, pts = cloud_file
+        frame = self._assert_frame_file_is_frame(tmp_path, infile, pts)
+        assert not frame.degenerate
+
+    def test_frame_csv_of_degenerate_cloud(self, tmp_path):
+        """The octahedron ties all three eigenvalues."""
+        pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0],
+                        [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
+        infile = tmp_path / "octahedron.xyz"
+        infile.write_text(write_xyz(pts))
+        assert self._assert_frame_file_is_frame(tmp_path, infile, pts).degenerate
 
     def test_off_input_accepted(self, tmp_path):
         rng = np.random.default_rng(503)
@@ -544,11 +570,35 @@ class TestRerunBytes:
 
 
 class TestSelftest:
-    def test_passes_with_zero_exit(self, capsys):
+    def test_stdout_is_pinned(self, capsys):
         assert run(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "ok" in out
-        assert "FAIL" not in out
+        out, err = capsys.readouterr()
+        assert out == (
+            "ok   group axioms (C4, S3)\n"
+            "ok   sort canonicalization matches brute force\n"
+            "ok   mean subtraction is shift invariant\n"
+            "ok   jacobi eigendecomposition reconstructs\n"
+            "ok   cloud canonicalization is similarity invariant\n"
+            "ok   zero rotation is the identity; quarter turn is rot90\n"
+            "ok   canonical angle tracks rotations\n"
+            "ok   group averaging and canonicalizer conjugation are equivariant\n"
+            "ok   file formats round-trip\n"
+            "ok   invariant wrappers are invariant\n"
+            "all selftest checks passed\n")
+        assert err == ""
+
+    def test_failing_check_exits_4(self, monkeypatch, capsys):
+        def broken(rng):
+            raise AssertionError("deliberately broken")
+
+        checks = list(cli.SELFTEST_CHECKS)
+        name = checks[3][0]
+        checks[3] = (name, broken)
+        monkeypatch.setattr(cli, "SELFTEST_CHECKS", tuple(checks))
+        assert run(["selftest"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "".join(f"ok   {other}\n" for other, _ in checks if other != name)
+        assert err == f"FAIL {name}: deliberately broken\n1 selftest check(s) failed\n"
 
 
 class TestUsage:
