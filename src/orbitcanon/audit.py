@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .cloud import canonicalize_clouds
-from .image import SCHEMES, RotationMapping, rotate_image
+from .image import SCHEMES, canonicalize_images, rotate_image
 from .formats import ReportDocument
 
 # The order of these tables fixes the codes in model files.
@@ -346,8 +346,8 @@ def featurize(spec, kind: str, data) -> np.ndarray:
     the LinearSoftmaxModel being fed otherwise.  The data are first
     canonicalized when spec canonicalizes at that stage (a config under
     'train_and_test', a model also under 'test_only'): a cloud stack in
-    one canonicalize_clouds call, rasters one by one through a
-    RotationMapping with spec's scheme and sigma.  A model's data must
+    one canonicalize_clouds call, a raster stack in one
+    canonicalize_images call with spec's scheme and sigma.  A model's data must
     have the size of its weights; ValueError names both sizes of a
     mismatch.
     """
@@ -358,8 +358,8 @@ def featurize(spec, kind: str, data) -> np.ndarray:
         if kind == "cloud":
             data = canonicalize_clouds(data)[0]
         else:
-            mapping = RotationMapping(spec.scheme or "bilinear", spec.sigma)
-            data = np.stack([mapping(datum).canonical for datum in data])
+            data = canonicalize_images(data, spec.scheme or "bilinear",
+                                       spec.sigma).canonical
     feats = data.reshape(len(data), -1)
     if not training and feats.shape[1] != spec.weights.shape[1]:
         raise ValueError(f"the model takes {_sized(kind, spec.weights.shape[1])}, "
@@ -425,18 +425,21 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
                             for s in np.random.SeedSequence(cfg.seed).spawn(2))
     grid = [r for _, r in rotation_grid_3d()] if data.kind == "cloud" else None
 
-    # One random orbit transform of raw datum i: clouds draw uniformly from
-    # the 3-D audit grid, images a uniform angle in [0, 2 pi) rotated with
-    # the configured scheme.  Draw order is fixed (per sample, then per
-    # candidate), which is what makes two runs with the same seed — and the
-    # random_augment / adversarial@k=1 pair — consume identical random streams.
-    def draw(i):
-        if grid is not None:
-            return data.inputs[i] @ grid[int(aug_rng.integers(len(grid)))]
-        return rotate_image(data.inputs[i], float(aug_rng.uniform(0.0, 2.0 * np.pi)),
-                            cfg.scheme)
-
     k = 1 if cfg.mode == "random_augment" else cfg.k
+
+    # k random orbit transforms of each raw datum of idx: clouds draw
+    # uniformly from the 3-D audit grid, images a uniform angle in [0, 2 pi)
+    # (an array of them is the stream of as many single draws), rotated in
+    # one call.  Draw order is fixed (per sample, then per candidate), which
+    # is what makes two runs with the same seed — and the random_augment /
+    # adversarial@k=1 pair — consume identical random streams.
+    def draw(idx):
+        if grid is not None:
+            return [data.inputs[i] @ grid[int(aug_rng.integers(len(grid)))]
+                    for i in idx for _ in range(k)]
+        return rotate_image(data.inputs[np.repeat(idx, k)],
+                            aug_rng.uniform(0.0, 2.0 * np.pi, size=len(idx) * k),
+                            cfg.scheme)
     pairing = cfg.mode in ("adversarial_alp", "adversarial_kl") and cfg.lam > 0.0
 
     for epoch in range(cfg.epochs):
@@ -451,7 +454,7 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
                 # the sample's current loss.  k is 1 for random_augment.
                 # The batch's candidates are featurized and scored together,
                 # k consecutive rows per sample.
-                cand = featurize(cfg, data.kind, [draw(i) for i in idx for _ in range(k)])
+                cand = featurize(cfg, data.kind, draw(idx))
                 losses = _per_sample_ce(W, b, cand, np.repeat(yb, k))
                 worst = np.argmax(losses.reshape(len(idx), k), axis=1)
                 adv = cand[np.arange(len(idx)) * k + worst]
@@ -576,11 +579,12 @@ def softmax_curve(model, sample, angles, scheme: str = "bilinear") -> np.ndarray
     Returns one probability per angle.
     """
     datum, label = sample
-    angles = [float(a) for a in np.asarray(angles, dtype=float)]
+    datum, angles = np.asarray(datum, dtype=float), np.asarray(angles, dtype=float)
     if model.kind == "image":
-        moved = [rotate_image(datum, a, scheme) for a in angles]
+        moved = rotate_image(np.broadcast_to(datum, angles.shape + datum.shape),
+                             angles, scheme)
     else:
-        moved = [np.asarray(datum) @ rotation_about(2, a) for a in angles]
+        moved = [datum @ rotation_about(2, a) for a in angles]
     # One row at a time: a batched product sums in another order, which
     # would change the last bits of the curve.
     return np.array([np.exp(_log_softmax(model.logits(row[None, :])))[0, label]

@@ -29,8 +29,7 @@ from .cloud import (DegenerateCloudError, SimilarityMapping,
 from .groups import (check_group_axioms, equivariant_average, equivariant_canon,
                      finite_orbit_canonicalize, invariant_wrap,
                      quarter_turn_group, symmetric_group)
-from .image import (GrayImage, SCHEMES, canonical_angle, canonicalize_image,
-                    mean_gradient, rotate_image, smooth_model)
+from .image import GrayImage, SCHEMES, canonicalize_image, canonicalize_images, rotate_image
 from .vectors import (MeanShiftMapping, SortMapping, mean_subtract, sort_canonicalize,
                       sort_energy)
 
@@ -278,15 +277,12 @@ def _rotation_identity(rng):
 
 
 def _angle_consistency(rng):
-    data = _audit.gen_synthetic_images(seed=12, n_per_class=1)
-    img = data.inputs[0]
-    a0, _ = canonical_angle(mean_gradient(smooth_model(img, 1.0)))
-    for deg in (30, 120, 250):
-        beta = math.radians(deg)
-        rot = rotate_image(img, beta, "bilinear")
-        a, _ = canonical_angle(mean_gradient(smooth_model(rot, 1.0)))
+    img = _audit.gen_synthetic_images(seed=12, n_per_class=1).inputs[0]
+    betas = np.radians([0.0, 30.0, 120.0, 250.0])
+    a0, *angles = canonicalize_images(rotate_image(np.stack([img] * 4), betas)).element
+    for beta, a in zip(betas[1:], angles):
         diff = (a - (a0 - beta) + math.pi) % (2 * math.pi) - math.pi
-        assert abs(diff) < math.radians(2.0), (deg, diff)
+        assert abs(diff) < math.radians(2.0), (math.degrees(beta), diff)
 
 
 def _equivariance(rng):

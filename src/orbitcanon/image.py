@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,9 @@ CIRCLE_RADII = (0.05, 0.4)
 CIRCLE_SAMPLES = 1000
 
 GRADIENT_THRESHOLD = 1e-8
+
+# Stacks are worked through this many pixels (at least one raster) at a time.
+CHUNK_PIXELS = 8192
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,14 @@ def _check_scheme(scheme: str) -> str:
     return scheme
 
 
+def _chunks(count: int, n: int) -> list[slice]:
+    """Slices of a stack of count n x n rasters, CHUNK_PIXELS at a time."""
+    step = max(1, CHUNK_PIXELS // max(1, n * n))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def gaussian_blur(img, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with edge replication of a raster (h, w).
+    """Separable Gaussian blur with edge replication of a raster (h, w) or stack (..., h, w).
 
     Kernel radius is ceil(3 * sigma); taps are normalized to sum to 1, so
     a constant image is exactly preserved.  The result is clamped into
@@ -99,16 +109,18 @@ def gaussian_blur(img, sigma: float) -> np.ndarray:
     taps /= taps.sum()
 
     out = np.asarray(img, dtype=float)
-    for axis in (0, 1):
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        padded = np.pad(out, pad, mode="edge")
+    if out.ndim < 2 or 0 in out.shape[-2:]:
+        raise ValueError(f"expected rasters (..., h, w) of at least one pixel, got {out.shape}")
+    for axis in (-2, -1):
+        size = out.shape[axis]
+        edge = np.clip(np.arange(-radius, size + radius), 0, size - 1)
+        padded = out.take(edge, axis=axis)
         acc = np.zeros_like(out)
         for k, t in enumerate(taps):
-            if axis == 0:
-                acc += t * padded[k:k + out.shape[0], :]
+            if axis == -2:
+                acc += t * padded[..., k:k + size, :]
             else:
-                acc += t * padded[:, k:k + out.shape[1]]
+                acc += t * padded[..., k:k + size]
         out = acc
     return np.clip(out, 0.0, 1.0)
 
@@ -181,7 +193,7 @@ class SmoothImageModel:
 
 @dataclass(frozen=True)
 class MeanGradient:
-    """Mean model gradient over the probe circles, in (z1, z2) components."""
+    """Mean model gradient over the probe circles, (z1, z2) components; arrays for a stack."""
 
     g1: float
     g2: float
@@ -194,6 +206,19 @@ def smooth_model(img, sigma: float = 1.0) -> SmoothImageModel:
     return SmoothImageModel(gaussian_blur(img, sigma))
 
 
+@lru_cache(maxsize=None)
+def _probe_cells(n: int):
+    """The probes' cells on an n x n raster, circle after circle, as
+    SmoothImageModel finds them: (r0 n + c0, r0 (n-1) + c0, tr, tc, live masks)."""
+    theta = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
+    model = SmoothImageModel(np.empty((n, n)))
+    row_f, col_f = model._fractional(np.concatenate(
+        [np.stack([0.5 + r * np.cos(theta), 0.5 + r * np.sin(theta)], axis=-1)
+         for r in CIRCLE_RADII]))
+    (r0, tr, live_r), (c0, tc, live_c) = model._cell(row_f, n), model._cell(col_f, n)
+    return r0 * n + c0, r0 * (n - 1) + c0, tr, tc, live_r, live_c
+
+
 def mean_gradient(model: SmoothImageModel) -> MeanGradient:
     """Average the model gradient over the two probe circles.
 
@@ -201,42 +226,50 @@ def mean_gradient(model: SmoothImageModel) -> MeanGradient:
     samples; the circles are then averaged with equal weight.  The small
     circle reads orientation near the center, the large one near the
     border, and both lie inside the square so rotation moves their probe
-    values with the image.
+    values with the image.  A stack's model gives each raster's own mean.
     """
-    n = _require_square(model.image)
+    image = model.image
+    n = _require_square(image)
     if n < 2:
         raise ValueError("need at least a 2 x 2 raster for a gradient")
-    theta = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
-    per_circle = []
-    for radius in CIRCLE_RADII:
-        pts = np.stack([0.5 + radius * np.cos(theta),
-                        0.5 + radius * np.sin(theta)], axis=-1)
-        per_circle.append(model.gradient(pts).mean(axis=0))
-    g1, g2 = np.mean(per_circle, axis=0)
-    return MeanGradient(g1=float(g1), g2=float(g2),
-                        magnitude=float(np.hypot(g1, g2)),
-                        sample_count=len(CIRCLE_RADII) * CIRCLE_SAMPLES)
+    at_row, at_col, tr, tc, live_r, live_c = _probe_cells(n)
+    # SmoothImageModel.gradient, its corner differences taken once per pixel.
+    rasters = image.reshape(-1, n, n)
+    d_rows = (rasters[:, 1:] - rasters[:, :-1]).reshape(len(rasters), -1)
+    d_cols = (rasters[:, :, 1:] - rasters[:, :, :-1]).reshape(len(rasters), -1)
+    d_row = d_rows.take(at_row, 1) * (1.0 - tc) + d_rows.take(at_row + 1, 1) * tc
+    d_col = d_cols.take(at_col, 1) * (1.0 - tr) + d_cols.take(at_col + n - 1, 1) * tr
+    # Probe-major, so each raster's samples sum in probe order, as one raster's.
+    g = np.empty((len(tr), len(rasters), 2))
+    g[:, :, 0], g[:, :, 1] = (-n * d_row * live_r).T, (n * d_col * live_c).T
+    per_circle = [g[i:i + CIRCLE_SAMPLES].mean(axis=0) for i in range(0, len(g), CIRCLE_SAMPLES)]
+    g1, g2 = np.mean(per_circle, axis=0).T.reshape((2,) + image.shape[:-2])
+    magnitude = np.hypot(g1, g2)
+    if image.ndim == 2:
+        g1, g2, magnitude = float(g1), float(g2), float(magnitude)
+    return MeanGradient(g1, g2, magnitude, len(CIRCLE_RADII) * CIRCLE_SAMPLES)
 
 
-def canonical_angle(mg: MeanGradient,
-                    threshold: float = GRADIENT_THRESHOLD) -> tuple[float, bool]:
+def canonical_angle(mg: MeanGradient, threshold: float = GRADIENT_THRESHOLD):
     """Angle that rotates the mean gradient onto the +z1 axis.
 
     Returns (alpha, degenerate).  alpha = atan2(g2, g1) lies in (-pi, pi];
     rotating the image content counter-clockwise by alpha turns the mean
     gradient to point "up".  When the mean gradient magnitude is at or
     below the threshold the orientation is undefined and (0.0, True) is
-    returned.
+    returned.  A stack's mean gradient gives arrays of both.
     """
-    if mg.magnitude <= threshold:
-        return 0.0, True
-    return math.atan2(mg.g2, mg.g1), False
+    degenerate = np.asarray(mg.magnitude) <= threshold
+    alpha = np.where(degenerate, 0.0, np.vectorize(math.atan2, otypes=[float])(mg.g2, mg.g1))
+    return (alpha, degenerate) if degenerate.ndim else (float(alpha), bool(degenerate))
 
 
-def rotate_image(img, alpha: float, scheme: str = "bilinear") -> np.ndarray:
+def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     """Rotate image content counter-clockwise by alpha about the center.
 
-    img is a square raster (n, n) or a stack of them (..., n, n).
+    img is a square raster (n, n) or a stack of them (..., n, n), rotated
+    CHUNK_PIXELS at a time; alpha is one angle, or one per raster (shape
+    img.shape[:-2]), and each raster comes out as it would alone, bit for bit.
     Resamples by inverse mapping: each output pixel center is rotated back
     by alpha and the source raster is sampled there with the requested
     scheme (nearest, bilinear, or bicubic with the Catmull-Rom kernel).
@@ -250,7 +283,22 @@ def rotate_image(img, alpha: float, scheme: str = "bilinear") -> np.ndarray:
     n = _require_square(p)
     if not np.all(np.isfinite(p)):
         raise ValueError("raster contains non-finite values")
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim and alpha.shape != p.shape[:-2]:
+        raise ValueError(f"expected one angle per raster, {p.shape[:-2]}, got {alpha.shape}")
+    # math's cos and sin, as for one angle: numpy's may round differently.
+    ca, sa = (np.array([f(a) for a in alpha.flat])[:, None, None] for f in (math.cos, math.sin))
+    stack = p.reshape(-1, n, n)
+    out = np.empty(stack.shape)
+    for s in _chunks(len(stack), n):
+        angles = s if alpha.ndim else slice(None)
+        out[s] = _resample(stack[s], ca[angles], sa[angles], scheme)
+    return out.reshape(p.shape)
 
+
+def _resample(p, ca, sa, scheme: str) -> np.ndarray:
+    """rotate_image of p (L, n, n) by angles of cosine ca and sine sa, (L or 1, 1, 1)."""
+    n = p.shape[-1]
     # Inverse map in index space.  With center m = (n - 1) / 2 the source
     # index of output pixel (r, c) is
     #   col_f = m + cos(a) (c - m) + sin(a) (m - r)
@@ -262,7 +310,6 @@ def rotate_image(img, alpha: float, scheme: str = "bilinear") -> np.ndarray:
     idx = np.arange(n, dtype=float)
     u = idx[None, :] - m                 # signed column offset
     v = idx[:, None] - m                 # signed row offset
-    ca, sa = math.cos(alpha), math.sin(alpha)
     col_f = m + ca * u - sa * v
     row_f = m + sa * u + ca * v
 
@@ -270,10 +317,12 @@ def rotate_image(img, alpha: float, scheme: str = "bilinear") -> np.ndarray:
     inside = ((col_f >= -0.5) & (col_f <= n - 0.5)
               & (row_f >= -0.5) & (row_f <= n - 0.5))
 
+    # Pixels are gathered by flat index: raster offset, row, column.
+    src, base = p.reshape(-1), np.arange(len(p))[:, None, None] * (n * n)
     if scheme == "nearest":
         c = np.clip(np.floor(col_f + 0.5), 0, n - 1).astype(int)
         r = np.clip(np.floor(row_f + 0.5), 0, n - 1).astype(int)
-        out = p[..., r, c]
+        out = src.take(base + r * n + c)
     else:
         c0 = np.floor(col_f).astype(int)
         r0 = np.floor(row_f).astype(int)
@@ -284,12 +333,12 @@ def rotate_image(img, alpha: float, scheme: str = "bilinear") -> np.ndarray:
         else:
             taps = (-1, 0, 1, 2)
             wr, wc = _catmull_rom_weights(tr), _catmull_rom_weights(tc)
+        rows = [base + np.clip(r0 + dr, 0, n - 1) * n for dr in taps]
+        cols = [np.clip(c0 + dc, 0, n - 1) for dc in taps]
         out = np.zeros(p.shape)
-        for i, dr in enumerate(taps):
-            rr = np.clip(r0 + dr, 0, n - 1)
-            for j, dc in enumerate(taps):
-                cc = np.clip(c0 + dc, 0, n - 1)
-                out += wr[i] * wc[j] * p[..., rr, cc]
+        for i, row in enumerate(rows):
+            for j, col in enumerate(cols):
+                out += wr[i] * wc[j] * src.take(row + col)
     return np.clip(np.where(inside, out, 0.0), 0.0, 1.0)
 
 
@@ -319,18 +368,34 @@ def canonicalize_image(img, scheme: str = "bilinear",
     below GRADIENT_THRESHOLD) are returned unrotated with the flag set.
     The element of the result is the applied angle alpha; its energy is
     the mean gradient magnitude.  An unknown scheme raises ValueError for
-    every image, degenerate or not.
+    every image, degenerate or not.  This is canonicalize_images on a
+    stack of one.
     """
-    img = np.asarray(img, dtype=float)
-    _require_square(img)
+    res = canonicalize_images(np.asarray(img, dtype=float)[None], scheme, sigma)
+    return CanonResult(res.canonical[0], float(res.element[0]), bool(res.degenerate[0]),
+                       float(res.energy[0]))
+
+
+def canonicalize_images(stack, scheme: str = "bilinear",
+                        sigma: float = 1.0) -> CanonResult:
+    """canonicalize_image of each raster of a stack (N, n, n), bit for bit.
+
+    Returns one CanonResult whose fields carry the leading axis: canonical
+    rasters, angles, degenerate flags and mean gradient magnitudes.  The
+    stack goes CHUNK_PIXELS at a time; a non-finite raster raises ValueError.
+    """
+    p = np.asarray(stack, dtype=float)
+    n = _require_square(p)
     _check_scheme(scheme)
-    mg = mean_gradient(smooth_model(img, sigma))
-    alpha, degenerate = canonical_angle(mg)
-    if degenerate:
-        return CanonResult(canonical=img, element=0.0, degenerate=True,
-                           energy=mg.magnitude)
-    return CanonResult(canonical=rotate_image(img, alpha, scheme),
-                       element=alpha, degenerate=False, energy=mg.magnitude)
+    if p.ndim != 3:
+        raise ValueError(f"expected a stack (N, n, n) of rasters, got shape {p.shape}")
+    alpha, degenerate, energy = np.empty(len(p)), np.empty(len(p), bool), np.empty(len(p))
+    for s in _chunks(len(p), n):
+        mg = mean_gradient(smooth_model(p[s], sigma))
+        (alpha[s], degenerate[s]), energy[s] = canonical_angle(mg), mg.magnitude
+    canonical = rotate_image(p, alpha, scheme)
+    canonical[degenerate] = p[degenerate]
+    return CanonResult(canonical, alpha, degenerate, energy)
 
 
 class RotationMapping:

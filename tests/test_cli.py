@@ -21,7 +21,7 @@ from orbitcanon.formats import (
     write_table,
     write_xyz,
 )
-from orbitcanon.image import GrayImage
+from orbitcanon.image import GrayImage, canonicalize_image, rotate_image
 
 
 @pytest.fixture()
@@ -523,6 +523,32 @@ class TestCurve:
                 if line and not line.startswith("#")
                 and not line.startswith("index")]
         assert len(rows) == 360
+
+    def test_image_curve_matches_per_angle_canonicalization(self, tmp_path):
+        """One stacked rotation and canonicalization give the bytes of
+        rotating and canonicalizing every angle alone."""
+        data = _gen(tmp_path, "images", seed=3, per_class=1)
+        model_path = tmp_path / "model.bin"
+        assert run(["train", "--data", str(data), "--mode", "plain", "--epochs", "5",
+                    "--seed", "1", "--canon", "train", "--scheme", "bicubic",
+                    "--model", str(model_path)]) == 0
+        out = tmp_path / "curve.csv"
+        sample = sorted(data.glob("*.pgm"))[1]
+        assert run(["curve", "--model", str(model_path), "--sample", str(sample),
+                    "--out", str(out), "--label", "1", "--scheme", "nearest"]) == 0
+        model = load_model(model_path.read_bytes())
+        datum = read_pgm(sample.read_bytes()).pixels
+        rows = []
+        for i, a in enumerate(np.radians(np.arange(360.0))):
+            row = canonicalize_image(rotate_image(datum, float(a), "nearest"), "bicubic").canonical
+            z = model.logits(row.reshape(1, -1))
+            shifted = z - z.max(axis=1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            rows.append((i, math.degrees(float(a)), float(np.exp(logp)[0, 1])))
+        expected = write_table(
+            "# orbitcanon curve v1", {"kind": "image", "label": 1, "scheme": "nearest"},
+            "index,angle_degrees,probability", rows)
+        assert out.read_text() == expected
 
 
     @pytest.mark.parametrize("label", ["9", "-1"])
