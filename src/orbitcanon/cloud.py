@@ -69,12 +69,18 @@ def _unit_scale(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Divide each cloud of a stack (N, P, 3) by its mean point norm;
     returns (scaled stack, scales).  In a stack of more than one cloud,
     the DegenerateCloudError names the cloud with no scale."""
-    scale = np.linalg.norm(X, axis=2).mean(axis=1)
+    scale = _point_norms(X).mean(axis=1)
     flat = np.flatnonzero(scale == 0.0)
     if flat.size:
         where = f"cloud {flat[0]}: " if len(X) > 1 else ""
         raise DegenerateCloudError(f"{where}every point is at the origin; no scale to remove")
     return X / scale[:, None, None], scale
+
+
+def _point_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=2), bit for bit, without its length-3 reduce."""
+    s = X * X
+    return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
 
 
 def _lane_norms(M: np.ndarray) -> np.ndarray:
@@ -259,8 +265,7 @@ def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
     """The rotation step of canonicalize_rotation on a validated stack
     (N, P, 3); the frame records the centroids and scales already removed
     from X."""
-    lanes = np.arange(len(X))
-    norms = np.linalg.norm(X, axis=2)
+    norms = _point_norms(X)
     w, V = eig3_sym(X.transpose(0, 2, 1) @ X)
     P = X @ V
     sign_tol = SIGN_RTOL * np.maximum(norms.mean(axis=1), 1e-300)[:, None]
@@ -275,15 +280,18 @@ def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
         # tie on all four are the same point.
         ref = np.lexsort((X[..., 2], X[..., 1], X[..., 0], norms), axis=1)[:, -1]
 
-    # Each axis takes the sign of the reference point's projection or,
-    # when that is within sign_tol of zero, of the first decisive one.
-    pinned = P[lanes, ref]
+    # Each axis takes the sign of the reference point's projection or, when
+    # that is within sign_tol of zero (a loose cloud), of the first decisive one.
+    pinned = P[np.arange(len(X)), ref]
     settled = np.abs(pinned) > sign_tol
-    decisive = np.abs(P) > sign_tol[:, None]
-    first = P[lanes[:, None], decisive.argmax(axis=1), np.arange(3)]
-    chosen = np.where(settled, pinned, np.where(decisive.any(axis=1), first, 1.0))
-    signs = np.where(chosen > 0.0, 1.0, -1.0)
-    degenerate |= ~settled.all(axis=1)
+    loose = np.flatnonzero(~settled.all(axis=1))
+    if loose.size:
+        decisive = np.abs(P[loose]) > sign_tol[loose, None]
+        first = P[loose[:, None], decisive.argmax(axis=1), np.arange(3)]
+        pinned[loose] = np.where(settled[loose], pinned[loose],
+                                 np.where(decisive.any(axis=1), first, 1.0))
+        degenerate[loose] = True
+    signs = np.where(pinned > 0.0, 1.0, -1.0)
     reflected = np.linalg.det(V * signs[:, None, :]) < 0.0
     signs[reflected, 2] = -signs[reflected, 2]
 

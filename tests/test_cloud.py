@@ -1,5 +1,7 @@
 """Tests for 3D cloud canonicalization: centering, scaling, PCA alignment."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from orbitcanon.cloud import (
     eig3_sym,
     normalize_scale,
 )
+from orbitcanon.cloud import _point_norms
 
 
 def _random_rotation(rng):
@@ -470,6 +473,30 @@ class TestCanonicalizeClouds:
         # decisive point for the sign; the ordinary clouds need no tie-break.
         assert frame.degenerate[:3].all()
         assert not frame.degenerate[4:].any()
+
+    def test_settled_axis_keeps_its_reference_in_a_loose_cloud(self):
+        """The max-norm reference (point 1) pins axis 0 although point 0 is
+        decisive on it with the other sign; axes 1 and 2 fall back to points
+        2 and 4.  The cloud sits in a stack of clouds that need no fallback."""
+        cloud = np.vstack([AXIS_ALIGNED[[1, 0, 2, 3, 4, 5]], np.zeros((2, 3))])
+        rng = np.random.default_rng(220)
+        stack = np.array([rng.normal(size=(8, 3)) * [1.5, 1.0, 0.5], cloud,
+                          rng.normal(size=(8, 3)) * [1.5, 1.0, 0.5]])
+        canonical, frame = canonicalize_clouds(stack, "max_norm")
+        assert canonical[1, 1, 0] > 0.0 > canonical[1, 0, 0]
+        assert canonical[1, 2, 1] > 0.0 and canonical[1, 4, 2] > 0.0
+        np.testing.assert_array_equal(frame.degenerate, [False, True, False])
+
+    def test_point_norms_sum_as_the_library_norm(self):
+        """Squares whose sum depends on the order of addition: 1 + 0.6 ulp
+        + 0.6 ulp is 1 + 2 ulp left to right and 1 + 1 ulp right to left."""
+        X = np.zeros((3, 4, 3))
+        X[..., 0], X[..., 1:] = 1.0, math.sqrt(0.6 * 2.0 ** -52)
+        X[1] *= 1e-150
+        _assert_bits_equal(_point_norms(X), np.linalg.norm(X, axis=2))
+        stack = np.random.default_rng(221).normal(size=(50, 64, 3))
+        stack *= 10.0 ** np.linspace(-3.0, 3.0, 50)[:, None, None]
+        _assert_bits_equal(_point_norms(stack), np.linalg.norm(stack, axis=2))
 
     def test_one_cloud_views_keep_scalar_fields(self):
         _, frame = canonicalize_similarity(AXIS_ALIGNED)
