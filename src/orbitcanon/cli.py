@@ -340,7 +340,7 @@ SELFTEST_CHECKS = (
     ("group axioms (C4, S3)", _group_axioms),
     ("sort canonicalization matches brute force", _sort_oracle),
     ("mean subtraction is shift invariant", _shift_invariance),
-    ("jacobi eigendecomposition reconstructs", _eig_reconstruction),
+    ("symmetric eigendecomposition reconstructs", _eig_reconstruction),
     ("cloud canonicalization is similarity invariant", _cloud_invariance),
     ("zero rotation is the identity; quarter turn is rot90", _rotation_identity),
     ("canonical angle tracks rotations", _angle_consistency),

@@ -10,7 +10,7 @@ coordinates non-negative, with a determinant correction so the aligning
 map is always a proper rotation and never a reflection.
 
 canonicalize_clouds runs all of this on a stack (N, P, 3) of clouds with
-whole-array work, the eigensolver included; canonicalize_similarity and
+whole-array work, np.linalg.eigh included; canonicalize_similarity and
 canonicalize_rotation are that work on a stack of one.
 """
 
@@ -26,9 +26,6 @@ from .groups import CanonResult
 # and relative magnitude below which a coordinate cannot pin a sign.
 EIG_TIE_RTOL = 1e-9
 SIGN_RTOL = 1e-12
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 50
 
 
 class DegenerateCloudError(ValueError):
@@ -83,91 +80,35 @@ def _point_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
 
 
-def _lane_norms(M: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of a stack (N, 3, 3).
-
-    Each lane is the dot product of its nine entries with themselves, the
-    operation np.linalg.norm performs on one matrix, so it equals that
-    norm bit for bit; a sum over the lane would add in another order."""
-    flat = M.reshape(len(M), 1, 9)
-    return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
-
-
 def eig3_sym(C) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of symmetric 3x3 matrices by cyclic Jacobi sweeps.
+    """Eigendecomposition of symmetric 3x3 matrices by np.linalg.eigh.
 
     C is one matrix or a stack (N, 3, 3) of them.  Returns (w, V) with
     eigenvalues w sorted descending and unit eigenvectors in the columns
-    of V, so C = V @ diag(w) @ V.T, with C's leading axis.  Sweeps visit
-    the pivots (0,1), (0,2), (1,2) in that fixed order and stop once the
-    off-diagonal Frobenius norm falls below 1e-12 relative to ||C||_F,
-    which keeps the result bit-deterministic for identical input.  The
-    sort is stable, so exactly equal eigenvalues keep their sweep order.
-    Input must be symmetric to 1e-10 relative in Frobenius norm.
-
-    The matrices of a stack are solved side by side with masked updates:
-    a matrix that has converged, or whose pivot is already zero, is left
-    as it is, so each result equals that of the matrix solved alone.
+    of V, so C = V @ diag(w) @ V.T, with C's leading axis.  The sort is
+    stable, so exactly equal eigenvalues keep eigh's order and a zero or
+    identity matrix gives V = I.  Input must be symmetric to 1e-10
+    relative in Frobenius norm; its symmetric part is decomposed.  eigh
+    solves each matrix of a stack on its own, so each result equals that
+    of the matrix solved alone.
     """
     C = np.asarray(C, dtype=float)
     single = C.shape == (3, 3)
     if not single and (C.ndim != 3 or C.shape[1:] != (3, 3)):
         raise ValueError("expected a 3 x 3 matrix or a stack of them")
-    C = np.ascontiguousarray(C.reshape(-1, 3, 3))
+    C = C.reshape(-1, 3, 3)
 
     def fail(lanes, problem):
         if lanes.size:
             raise ValueError(f"matrix{'' if single else f' {lanes[0]}'} {problem}")
 
     fail(np.flatnonzero(~np.isfinite(C).all(axis=(1, 2))), "contains non-finite entries")
-    norm = _lane_norms(C)
     CT = C.transpose(0, 2, 1)
-    fail(np.flatnonzero(_lane_norms(C - CT) > 1e-10 * np.maximum(norm, 1e-300)),
+    fail(np.flatnonzero(np.linalg.norm(C - CT, axis=(1, 2))
+                        > 1e-10 * np.maximum(np.linalg.norm(C, axis=(1, 2)), 1e-300)),
          "is not symmetric")
 
-    A = (C + CT) / 2.0
-    diag = [A[:, i, i].copy() for i in range(3)]
-    off = {pq: A[:, pq[0], pq[1]].copy() for pq in ((0, 1), (0, 2), (1, 2))}
-    V = np.tile(np.eye(3), (len(C), 1, 1))
-    live = norm != 0.0
-    tol = _JACOBI_TOL * norm
-    # A lane whose pivot is zero divides by it below; pick drops the result.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            live &= ~(np.sqrt(2.0 * (off[0, 1] ** 2 + off[0, 2] ** 2 + off[1, 2] ** 2)) < tol)
-            if not live.any():
-                break
-            for p, q in ((0, 1), (0, 2), (1, 2)):
-                apq = off[p, q]
-                turn = live & (apq != 0.0)
-                if not turn.any():
-                    continue
-
-                # Lanes that do not turn keep their entries bit for bit.
-                def pick(new, old, mask=turn, every=bool(turn.all())):
-                    return new if every else np.where(mask, new, old)
-
-                tau = (diag[q] - diag[p]) / (2.0 * apq)
-                root = np.sqrt(1.0 + tau * tau)
-                t = np.where(tau >= 0.0, 1.0 / (tau + root), -1.0 / (-tau + root))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                diag[p] = pick(diag[p] - t * apq, diag[p])
-                diag[q] = pick(diag[q] + t * apq, diag[q])
-                off[p, q] = pick(np.zeros_like(apq), apq)
-                r = 3 - p - q  # the one index that is neither p nor q
-                rp, rq = (min(r, p), max(r, p)), (min(r, q), max(r, q))
-                arp, arq = off[rp], off[rq]
-                off[rp] = pick(c * arp - s * arq, arp)
-                off[rq] = pick(s * arp + c * arq, arq)
-                vp, vq = V[:, :, p], V[:, :, q]
-                c, s, column = c[:, None], s[:, None], turn[:, None]
-                V[:, :, p], V[:, :, q] = (pick(c * vp - s * vq, vp, column),
-                                          pick(s * vp + c * vq, vq, column))
-
-    # A zero matrix has no sweeps; its eigenvalues are +0.0 whatever signs
-    # its zeros carry.
-    w = np.where(norm[:, None] == 0.0, 0.0, np.stack(diag, axis=1))
+    w, V = np.linalg.eigh((C + CT) / 2.0)
     order = np.argsort(-w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
     V = np.take_along_axis(V, order[:, None, :], axis=2)
@@ -188,7 +129,8 @@ class PCAFrame:
     of one cloud has a float scale and a bool degenerate.
 
     A frame is also the canonicalizing group element: `transform` applies
-    it to a cloud and `inverted` gives the frame of the inverse map.
+    it to a cloud and `inverted` gives the frame of the inverse map.  Both
+    take the frame of one cloud and raise ValueError on that of a stack.
     """
 
     centroid: np.ndarray
@@ -205,14 +147,21 @@ class PCAFrame:
 
     def transform(self, points) -> np.ndarray:
         """Run a cloud through the frame: ((X - centroid) / scale) @ rotation."""
+        self._check_one_cloud("transform")
         return ((as_cloud(points) - self.centroid) / self.scale) @ self.rotation
 
     def inverted(self) -> PCAFrame:
         """The frame of one cloud's inverse map, Y -> scale * (Y @ rotation.T)
         + centroid; singular_values and degenerate are carried over."""
+        self._check_one_cloud("inverted")
         R = self.rotation
         return replace(self, centroid=-(self.centroid @ R) / self.scale,
                        scale=1.0 / self.scale, basis=R.T, signs=np.ones(3))
+
+    def _check_one_cloud(self, method: str) -> None:
+        if np.ndim(self.centroid) != 1:
+            raise ValueError(f"PCAFrame.{method} takes the frame of one cloud, "
+                             f"not of a stack of {len(self.centroid)}")
 
 
 def canonicalize_rotation(points, sign_reference: str = "first"

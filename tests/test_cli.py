@@ -603,7 +603,7 @@ class TestSelftest:
             "ok   group axioms (C4, S3)\n"
             "ok   sort canonicalization matches brute force\n"
             "ok   mean subtraction is shift invariant\n"
-            "ok   jacobi eigendecomposition reconstructs\n"
+            "ok   symmetric eigendecomposition reconstructs\n"
             "ok   cloud canonicalization is similarity invariant\n"
             "ok   zero rotation is the identity; quarter turn is rot90\n"
             "ok   canonical angle tracks rotations\n"
