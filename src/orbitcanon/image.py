@@ -75,10 +75,12 @@ class GrayImage:
         return self.height == self.width
 
 
-def _require_square(pixels: np.ndarray) -> int:
+def _require_rasters(pixels: np.ndarray) -> int:
     if pixels.ndim < 2 or pixels.shape[-1] != pixels.shape[-2]:
         raise ValueError("rotation needs a square raster, got "
                          + " x ".join(str(d) for d in pixels.shape[-2:]))
+    if not np.all(np.isfinite(pixels)):
+        raise ValueError("raster contains non-finite values")
     return pixels.shape[-1]
 
 
@@ -98,8 +100,8 @@ def gaussian_blur(img, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with edge replication of a raster (h, w) or stack (..., h, w).
 
     Kernel radius is ceil(3 * sigma); taps are normalized to sum to 1, so
-    a constant image is exactly preserved.  The result is clamped into
-    [0, 1], the range of a raster.  sigma must be positive and finite.
+    a constant image stays exactly flat, its value kept to rounding.  The
+    result is clamped into [0, 1].  sigma must be positive and finite.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -207,16 +209,23 @@ def smooth_model(img, sigma: float = 1.0) -> SmoothImageModel:
 
 
 @lru_cache(maxsize=None)
-def _probe_cells(n: int):
-    """The probes' cells on an n x n raster, circle after circle, as
-    SmoothImageModel finds them: (r0 n + c0, r0 (n-1) + c0, tr, tc, live masks)."""
+def _gradient_map(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """mean_gradient of an n x n raster X as weights on its differences X[r + 1, c] - X[r, c]
+    (g1) and X[r, c + 1] - X[r, c] (g2) at the cells r n + c, ascending, that the probes read."""
+    if n < 2:
+        raise ValueError("need at least a 2 x 2 raster for a gradient")
     theta = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
     model = SmoothImageModel(np.empty((n, n)))
     row_f, col_f = model._fractional(np.concatenate(
         [np.stack([0.5 + r * np.cos(theta), 0.5 + r * np.sin(theta)], axis=-1)
          for r in CIRCLE_RADII]))
     (r0, tr, live_r), (c0, tc, live_c) = model._cell(row_f, n), model._cell(col_f, n)
-    return r0 * n + c0, r0 * (n - 1) + c0, tr, tc, live_r, live_c
+    at, maps = r0 * n + c0, []
+    # Row differences at (r0, c0 + 0 or 1), column ones at (r0 + 0 or 1, c0); all of one sign.
+    for step, d, t in ((1, -n * live_r / len(r0), tc), (n, n * live_c / len(r0), tr)):
+        cells, where = np.unique(np.concatenate([at, at + step]), return_inverse=True)
+        maps.append((cells, np.bincount(where, np.concatenate([d * (1.0 - t), d * t]))))
+    return maps
 
 
 def mean_gradient(model: SmoothImageModel) -> MeanGradient:
@@ -226,24 +235,14 @@ def mean_gradient(model: SmoothImageModel) -> MeanGradient:
     samples; the circles are then averaged with equal weight.  The small
     circle reads orientation near the center, the large one near the
     border, and both lie inside the square so rotation moves their probe
-    values with the image.  A stack's model gives each raster's own mean.
+    values with the image.  It is one contraction with weights cached per
+    size; a stack's model gives each raster's own mean, bit for bit.
     """
-    image = model.image
-    n = _require_square(image)
-    if n < 2:
-        raise ValueError("need at least a 2 x 2 raster for a gradient")
-    at_row, at_col, tr, tc, live_r, live_c = _probe_cells(n)
-    # SmoothImageModel.gradient, its corner differences taken once per pixel.
-    rasters = image.reshape(-1, n, n)
-    d_rows = (rasters[:, 1:] - rasters[:, :-1]).reshape(len(rasters), -1)
-    d_cols = (rasters[:, :, 1:] - rasters[:, :, :-1]).reshape(len(rasters), -1)
-    d_row = d_rows.take(at_row, 1) * (1.0 - tc) + d_rows.take(at_row + 1, 1) * tc
-    d_col = d_cols.take(at_col, 1) * (1.0 - tr) + d_cols.take(at_col + n - 1, 1) * tr
-    # Probe-major, so each raster's samples sum in probe order, as one raster's.
-    g = np.empty((len(tr), len(rasters), 2))
-    g[:, :, 0], g[:, :, 1] = (-n * d_row * live_r).T, (n * d_col * live_c).T
-    per_circle = [g[i:i + CIRCLE_SAMPLES].mean(axis=0) for i in range(0, len(g), CIRCLE_SAMPLES)]
-    g1, g2 = np.mean(per_circle, axis=0).T.reshape((2,) + image.shape[:-2])
+    image, n = model.image, _require_rasters(model.image)
+    flat = image.reshape(image.shape[:-2] + (-1,))
+    # einsum (numpy's own summation, not BLAS) gives a raster the same bits in a stack as alone.
+    g1, g2 = (np.einsum("j,...j->...", weights, flat.take(cells + step, -1) - flat.take(cells, -1))
+              for (cells, weights), step in zip(_gradient_map(n), (n, 1)))
     magnitude = np.hypot(g1, g2)
     if image.ndim == 2:
         g1, g2, magnitude = float(g1), float(g2), float(magnitude)
@@ -280,10 +279,10 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     """
     _check_scheme(scheme)
     p = np.asarray(img, dtype=float)
-    n = _require_square(p)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("raster contains non-finite values")
+    n = _require_rasters(p)
     alpha = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError(f"rotation angles must be finite, got {alpha[~np.isfinite(alpha)]}")
     if alpha.ndim and alpha.shape != p.shape[:-2]:
         raise ValueError(f"expected one angle per raster, {p.shape[:-2]}, got {alpha.shape}")
     # math's cos and sin, as for one angle: numpy's may round differently.
@@ -385,7 +384,7 @@ def canonicalize_images(stack, scheme: str = "bilinear",
     stack goes CHUNK_PIXELS at a time; a non-finite raster raises ValueError.
     """
     p = np.asarray(stack, dtype=float)
-    n = _require_square(p)
+    n = _require_rasters(p)
     _check_scheme(scheme)
     if p.ndim != 3:
         raise ValueError(f"expected a stack (N, n, n) of rasters, got shape {p.shape}")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -385,6 +386,16 @@ class TestRotateImage:
         with pytest.raises(ValueError, match="non-finite"):
             rotate_image(stack, 0.0, "nearest")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        """A NaN angle once gave an all-zero raster, and an infinite one a
+        bare math domain error; both now name the angle."""
+        img = np.full((4, 4), 0.5)
+        with pytest.raises(ValueError, match=rf"rotation angles must be finite, got \[{bad}\]"):
+            rotate_image(img, bad)
+        with pytest.raises(ValueError, match=rf"rotation angles must be finite, got \[{bad}\]"):
+            rotate_image(np.stack([img, img, img]), np.array([0.1, bad, 0.2]), "bicubic")
+
 
 class TestCanonicalizeImage:
     def test_constant_image_degenerate_passthrough(self):
@@ -472,9 +483,21 @@ class TestRotationMapping:
 
 
 # ---------------------------------------------------------------------------
-# The one-raster path the stacked functions reproduce bit for bit: edge
-# padding by np.pad, the model gradient point by point, circle by circle,
-# and a resampler gathering with 2-D indices clamped tap by tap.
+# The one-raster path: edge padding by np.pad, the model gradient point by
+# point, circle by circle, and a resampler gathering with 2-D indices clamped
+# tap by tap.  The stacked blur and resampler reproduce it bit for bit.  The
+# program's mean gradient sums weighted differences cell by cell instead of
+# probe by probe, so it agrees with the reference to the bounds below.  The
+# reference is the less accurate of the two: against exact rational arithmetic
+# on the mean-gradient tests' data it errs by up to 1.69e-14 relative to
+# max(|g|, 1), the program by 2.6e-15 (test_mean_gradient_is_exact_to_rounding),
+# so their difference, measured at 1.72e-14, stays under the sum, 2e-14.  On the
+# canonicalization tests' data angles differ by at most 3.6e-15 rad and
+# energies by 4.7e-15 relative.
+
+MEAN_GRADIENT_RTOL = 2e-14        # relative to max(|g|, 1)
+ANGLE_ATOL = 7.1e-15              # radians
+ENERGY_RTOL = 1.6e-14             # relative
 
 
 def _reference_blur(img, sigma):
@@ -503,6 +526,23 @@ def _reference_mean_gradient(blurred):
                   for r in CIRCLE_RADII]
     g1, g2 = np.mean(per_circle, axis=0)
     return float(g1), float(g2), float(np.hypot(g1, g2))
+
+
+def _exact_mean_gradient(blurred):
+    """The model gradient's mean over the probes in exact rational arithmetic,
+    rounded once; the probes' cells and fractions are the model's own."""
+    n = blurred.shape[0]
+    theta = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
+    model = SmoothImageModel(blurred)
+    v00, v01, v10, v11, tr, tc, live_r, live_c = model._gather(np.concatenate(
+        [np.stack([0.5 + r * np.cos(theta), 0.5 + r * np.sin(theta)], axis=-1)
+         for r in CIRCLE_RADII]))
+    g1 = g2 = Fraction(0)
+    for a, b, c, d, s, t, lr, lc in zip(*(map(Fraction, x.tolist()) for x in
+                                          (v00, v01, v10, v11, tr, tc, live_r, live_c))):
+        g1 -= n * lr * ((c - a) * (1 - t) + (d - b) * t)
+        g2 += n * lc * ((b - a) * (1 - s) + (d - c) * s)
+    return float(g1 / len(tr)), float(g2 / len(tr))
 
 
 def _reference_rotate(img, alpha, scheme):
@@ -575,20 +615,37 @@ class TestStackedImagePath:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, 17, 32, 48])
     def test_mean_gradient_of_stack_is_reference_per_raster(self, n):
-        """Small rasters clamp probes (live masks off); zero rows give
-        signed-zero sums."""
+        """Small rasters clamp probes (live masks off); the flat raster's mean
+        gradient is exactly zero, as is g1 of the raster with equal rows."""
         rng = np.random.default_rng(321 + n)
         stack = rng.random((6, n, n))
         stack[1] = 0.5
         stack[2, :, :] = rng.random(n)[None, :]
         mg = mean_gradient(SmoothImageModel(stack))
         assert mg.g1.shape == (6,) and mg.sample_count == 2 * CIRCLE_SAMPLES
+        assert _bits([mg.g1[1], mg.g2[1], mg.magnitude[1], mg.g1[2]]) == _bits([0.0] * 4)
         for i, img in enumerate(stack):
             want = _reference_mean_gradient(img)
-            assert _bits([mg.g1[i], mg.g2[i], mg.magnitude[i]]) == _bits(want)
+            got = [mg.g1[i], mg.g2[i], mg.magnitude[i]]
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=MEAN_GRADIENT_RTOL * max(want[2], 1.0))
             one = mean_gradient(SmoothImageModel(img))
-            assert _bits([one.g1, one.g2, one.magnitude]) == _bits(want)
+            assert _bits([one.g1, one.g2, one.magnitude]) == _bits(got)
             assert type(one.g1) is float and type(one.magnitude) is float
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 17])
+    def test_mean_gradient_is_exact_to_rounding(self, n):
+        """On the data above, where the reference errs most, the program's mean
+        gradient is within 4e-15 of max(|g|, 1) of exact arithmetic (measured
+        2.6e-15, at n = 17)."""
+        rng = np.random.default_rng(321 + n)
+        stack = rng.random((6, n, n))
+        stack[2, :, :] = rng.random(n)[None, :]
+        mg = mean_gradient(SmoothImageModel(stack[[0, 2]]))
+        for i, img in enumerate(stack[[0, 2]]):
+            g1, g2 = _exact_mean_gradient(img)
+            np.testing.assert_allclose([mg.g1[i], mg.g2[i]], [g1, g2], rtol=0,
+                                       atol=4e-15 * max(math.hypot(g1, g2), 1.0))
 
     def test_canonical_angle_of_stack(self):
         mg = MeanGradient(g1=np.array([1.0, 0.0, -1.0, 0.0]),
@@ -633,21 +690,24 @@ class TestCanonicalizeImages:
     @pytest.mark.parametrize("n", [16, 17, 32, 48])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_matches_one_raster_path(self, scheme, n):
-        """Every lane equals the one-raster reference and canonicalize_image,
-        bit for bit, for three blur widths."""
+        """Every lane equals canonicalize_image bit for bit, and the one-raster
+        reference to the angle and energy bounds, for three blur widths; the
+        canonical raster is the reference rotation by the lane's own angle."""
         for sigma in (0.5, 1.0, 2.5):
             stack = _test_stack(n, seed=340 + n)
             res = canonicalize_images(stack, scheme, sigma)
             assert res.canonical.shape == stack.shape
             assert res.element.shape == res.degenerate.shape == res.energy.shape == (len(stack),)
             for i, img in enumerate(stack):
-                canonical, alpha, degenerate, energy = _reference_canonicalize(img, scheme, sigma)
-                assert _bits(res.canonical[i]) == _bits(canonical)
-                assert _bits([res.element[i], res.energy[i]]) == _bits([alpha, energy])
+                _, alpha, degenerate, energy = _reference_canonicalize(img, scheme, sigma)
+                assert abs(_wrap_angle(res.element[i] - alpha)) <= ANGLE_ATOL
+                assert abs(res.energy[i] - energy) <= ENERGY_RTOL * energy
                 assert res.degenerate[i] == degenerate
+                canonical = img if degenerate else _reference_rotate(img, res.element[i], scheme)
+                assert _bits(res.canonical[i]) == _bits(canonical)
                 one = canonicalize_image(img, scheme, sigma)
                 assert _bits(one.canonical) == _bits(canonical)
-                assert _bits([one.element, one.energy]) == _bits([alpha, energy])
+                assert _bits([one.element, one.energy]) == _bits([res.element[i], res.energy[i]])
                 assert one.degenerate is degenerate
                 assert type(one.element) is float and type(one.energy) is float
 
@@ -695,6 +755,12 @@ class TestCanonicalizeImages:
         bad[3, 2, 2] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             canonicalize_images(bad)
+
+    def test_one_pixel_raster_rejected(self):
+        with pytest.raises(ValueError, match="need at least a 2 x 2 raster"):
+            canonicalize_images(np.full((3, 1, 1), 0.5))
+        with pytest.raises(ValueError, match="need at least a 2 x 2 raster"):
+            canonicalize_image(np.full((1, 1), 0.5))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_working_set_is_bounded(self, scheme):
