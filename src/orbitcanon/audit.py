@@ -413,9 +413,11 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
     needed) and every random draw comes from generators seeded by
     cfg.seed, making the result a deterministic function of (data, cfg).
     Clean samples and augmented candidates become features through
-    featurize, which canonicalizes them under 'train_and_test'.  Raises
-    ValueError if the parameters stop being finite (diverged learning
-    rate).
+    featurize, which canonicalizes them under 'train_and_test'.  Cloud
+    candidates are the rotation_grid_3d() rotations the 3-D audit scores,
+    so it sees a cloud model's training transforms (ROADMAP.md plans a
+    held-out audit).  Raises ValueError if the parameters stop being
+    finite (diverged learning rate).
     """
     clean_feats = featurize(cfg, data.kind, data.inputs)
     labels = data.labels()

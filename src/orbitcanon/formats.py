@@ -9,6 +9,7 @@ dataset manifests and the CLI's side files all use write_table's layout.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,9 @@ _F17 = "{:.17g}".format
 # PGM
 
 
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def _pgm_tokens(data: bytes, count: int, pos: int) -> tuple[list[int], int]:
     """Read `count` whitespace-separated ASCII integers starting at pos.
 
@@ -37,18 +41,9 @@ def _pgm_tokens(data: bytes, count: int, pos: int) -> tuple[list[int], int]:
     Returns the values and the offset one past the final token.
     """
     values: list[int] = []
-    n = len(data)
-    while len(values) < count:
-        while pos < n and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < n and data[pos] == ord("#"):
-            while pos < n and data[pos] not in (10, 13):
-                pos += 1
-            continue
-        start = pos
-        while pos < n and not data[pos:pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
+    for _ in range(count):
+        match = _PGM_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
         if not token:
             raise ValueError("truncated header: expected more numeric fields")
         try:

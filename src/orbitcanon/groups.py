@@ -12,6 +12,7 @@ machine precision.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -111,17 +112,17 @@ def invariant_wrap(canonicalizer: Callable[[Any], CanonResult],
 def equivariant_average(x, group: FiniteGroup, inner: Callable[[Any], Any]):
     """Symmetrize `inner` over a finite group by summation.
 
-    Returns sum over g of g(inner(g^-1(x))).  The elementwise sum commutes
-    with any linear group action, so for the shipped groups (array quarter
-    turns, permutations) the result commutes exactly with every group
-    element.  The group is axiom-checked against x before use.
+    Returns sum over g of g(inner(g^-1(x))), added left to right from a
+    copy of the first term, so a -0.0 stays and the result never aliases x.
+    The elementwise sum commutes with any linear group action, so for the
+    shipped groups (array quarter turns, permutations) the result commutes
+    exactly with every group element.  The group is axiom-checked against
+    x before use.
     """
     check_group_axioms(group, [x])
-    total = None
-    for g in group.elements:
-        term = np.asarray(group.apply(g, inner(group.apply(group.inverse(g), x))))
-        total = term.copy() if total is None else total + term
-    return total
+    terms = (np.asarray(group.apply(g, inner(group.apply(group.inverse(g), x))))
+             for g in group.elements)
+    return sum(terms, next(terms).copy())
 
 
 def equivariant_canon(x, canonicalizer, inner: Callable[[Any], Any]):
@@ -145,31 +146,22 @@ def finite_orbit_canonicalize(x, group: FiniteGroup,
     Selects the orbit element with the highest energy; exact ties are
     broken by the lexicographically largest flattened value sequence,
     which makes the choice independent of the input's position in its
-    orbit.  With no energy the selection is purely lexicographic.  The
-    group is trusted here (validate separately with check_group_axioms);
-    enumeration only needs `elements` and `apply`.
+    orbit, and equal sequences by the order of `group.elements`.  With no
+    energy the selection is purely lexicographic; a NaN energy raises
+    ValueError.  The group is trusted here (validate separately with
+    check_group_axioms); enumeration only needs `elements` and `apply`.
     """
-    best = None
-    best_key = None
-    max_energy = None
-    distinct_at_max = 0
-    for g in group.elements:
-        gx = group.apply(g, x)
-        e = float(energy(gx)) if energy is not None else 0.0
-        key = tuple(np.asarray(gx, dtype=float).ravel())
-        if max_energy is None or e > max_energy:
-            max_energy = e
-            distinct_at_max = 1
-            best = CanonResult(canonical=gx, element=g, energy=e)
-            best_key = key
-        elif e == max_energy and key != best_key:
-            distinct_at_max += 1
-            if key > best_key:
-                best = CanonResult(canonical=gx, element=g, energy=e)
-                best_key = key
-    degenerate = energy is not None and distinct_at_max > 1
-    return CanonResult(canonical=best.canonical, element=best.element,
-                       degenerate=degenerate, energy=best.energy)
+    orbit = [group.apply(g, x) for g in group.elements]
+    energies = [float(energy(gx)) if energy is not None else 0.0 for gx in orbit]
+    if any(map(math.isnan, energies)):
+        raise ValueError("energy is NaN on the orbit")
+    top = max(energies)
+    keys = {i: tuple(np.asarray(orbit[i], dtype=float).ravel())
+            for i, e in enumerate(energies) if e == top}
+    best = max(keys, key=keys.get)
+    return CanonResult(canonical=orbit[best], element=group.elements[best],
+                       degenerate=energy is not None and len(set(keys.values())) > 1,
+                       energy=energies[best])
 
 
 def trivial_group() -> FiniteGroup:
@@ -206,12 +198,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    elements = tuple(itertools.permutations(range(n)))
-
-    def compose(g, h):
-        return tuple(h[g[i]] for i in range(n))
-
-    return FiniteGroup(elements=elements, apply=permute, compose=compose,
+    return FiniteGroup(elements=tuple(itertools.permutations(range(n))),
+                       apply=permute, compose=lambda g, h: tuple(h[i] for i in g),
                        inverse=invert_permutation, identity=tuple(range(n)))
 
 
@@ -222,7 +210,4 @@ def permute(p, x):
 
 def invert_permutation(p) -> tuple:
     """The permutation q with q[p[i]] == i."""
-    inv = [0] * len(p)
-    for i, pi in enumerate(p):
-        inv[pi] = i
-    return tuple(inv)
+    return tuple(np.argsort(p).tolist())

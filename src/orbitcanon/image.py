@@ -107,7 +107,8 @@ def gaussian_blur(img, sigma: float) -> np.ndarray:
         raise ValueError("sigma must be positive and finite")
     radius = int(math.ceil(3.0 * sigma))
     offsets = np.arange(-radius, radius + 1, dtype=float)
-    taps = np.exp(-(offsets ** 2) / (2.0 * sigma * sigma))
+    # the floor keeps the taps [0, 1, 0] where 2 sigma^2 underflows (sigma < ~1.5e-162)
+    taps = np.exp(-(offsets ** 2) / max(2.0 * sigma * sigma, np.finfo(float).tiny))
     taps /= taps.sum()
 
     out = np.asarray(img, dtype=float)

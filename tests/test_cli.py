@@ -88,6 +88,15 @@ class TestCanonImage:
                     "--sigma", "inf", "--report", str(report)]) == 1
         assert not out.exists() and not report.exists()
 
+    def test_tiny_sigma_blurs_as_a_small_one(self, tmp_path, image_file):
+        infile, _ = image_file
+        tiny, small = tmp_path / "tiny.pgm", tmp_path / "small.pgm"
+        assert run(["canon-image", "--in", str(infile), "--out", str(tiny),
+                    "--sigma", "1e-200"]) == 0
+        assert run(["canon-image", "--in", str(infile), "--out", str(small),
+                    "--sigma", "0.01"]) == 0
+        assert tiny.read_bytes() == small.read_bytes()
+
     def test_missing_input_is_data_error(self, tmp_path):
         code = run(["canon-image", "--in", str(tmp_path / "nope.pgm"),
                     "--out", str(tmp_path / "o.pgm")])

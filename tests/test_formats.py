@@ -1,5 +1,6 @@
 """Tests for the PGM/IDX/XYZ/OFF parsers, report text, and binary model blobs."""
 
+import re
 import struct
 
 import numpy as np
@@ -41,6 +42,15 @@ class TestPgm:
         data = b"P2\n# made by hand\n2 1\n# another\n255\n128 255\n"
         img = read_pgm(data)
         np.testing.assert_allclose(img.pixels, [[128.0 / 255.0, 1.0]])
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P2\n2 1#c\n255\n0 1\n", "non-numeric header token b'1#c'"),
+        (b"P5\n2 1\n# no maxval\n", "truncated header"),
+    ])
+    def test_header_messages(self, data, message):
+        """A '#' glued to a token belongs to it; a header cut short is named."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_pgm(data)
 
     def test_binary_roundtrip_8bit(self):
         """Quantize once, then the byte stream is a fixed point."""

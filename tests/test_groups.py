@@ -1,6 +1,7 @@
 """Tests for the finite-group machinery and the two equivariance wrappers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from orbitcanon.groups import (
     equivariant_canon,
     finite_orbit_canonicalize,
     invariant_wrap,
+    invert_permutation,
     quarter_turn_group,
     symmetric_group,
     trivial_group,
 )
-from orbitcanon.vectors import MeanShiftMapping, SortMapping
+from orbitcanon.vectors import MeanShiftMapping, SortMapping, sort_energy
 
 
 def _dyadic_image(rng, shape=(8, 8)):
@@ -84,6 +86,12 @@ class TestGroupAxioms:
         assert len(quarter_turn_group().elements) == 4
         assert len(trivial_group().elements) == 1
 
+    def test_invert_permutation_is_python_ints(self):
+        for p in symmetric_group(4).elements:
+            q = invert_permutation(p)
+            assert all(type(i) is int for i in q)
+            assert all(q[p[i]] == i for i in range(4))
+
 
 class TestFiniteOrbitCanonicalize:
     def test_quarter_turn_argmax_corner(self):
@@ -132,6 +140,71 @@ class TestFiniteOrbitCanonicalize:
         x = np.array([[0.0, 0.0], [0.0, 4.0]])
         res = finite_orbit_canonicalize(x, g4, energy=lambda a: float(a[0, 0]))
         assert res.energy == 4.0
+
+
+def _reference_finite_orbit(x, group, energy=None):
+    """The running scan finite_orbit_canonicalize was first written as."""
+    best = None
+    best_key = None
+    max_energy = None
+    distinct_at_max = 0
+    for g in group.elements:
+        gx = group.apply(g, x)
+        e = float(energy(gx)) if energy is not None else 0.0
+        key = tuple(np.asarray(gx, dtype=float).ravel())
+        if max_energy is None or e > max_energy:
+            max_energy = e
+            distinct_at_max = 1
+            best = CanonResult(canonical=gx, element=g, energy=e)
+            best_key = key
+        elif e == max_energy and key != best_key:
+            distinct_at_max += 1
+            if key > best_key:
+                best = CanonResult(canonical=gx, element=g, energy=e)
+                best_key = key
+    degenerate = energy is not None and distinct_at_max > 1
+    return CanonResult(canonical=best.canonical, element=best.element,
+                       degenerate=degenerate, energy=best.energy)
+
+
+class TestFiniteOrbitMatchesScan:
+    """The argmax form gives every field of the running scan on orbits built to tie."""
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_c4_small_integer_rasters(self, quantized):
+        rng = np.random.default_rng(131)
+        g4 = quarter_turn_group()
+        energy = (lambda a: float(a[0].sum() // 2)) if quantized else None
+        for _ in range(600):
+            n = int(rng.integers(1, 4))
+            x = rng.integers(0, 3, size=(n, n)).astype(float)
+            self._assert_same(x, g4, energy)
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_s5_vectors_with_repeats(self, quantized):
+        rng = np.random.default_rng(137)
+        s5 = symmetric_group(5)
+        energy = (lambda v: math.floor(sort_energy(v))) if quantized else None
+        for _ in range(400):
+            x = rng.integers(-2, 3, size=5).astype(float)
+            self._assert_same(x, s5, energy)
+
+    @staticmethod
+    def _assert_same(x, group, energy):
+        got = finite_orbit_canonicalize(x, group, energy=energy)
+        want = _reference_finite_orbit(x, group, energy=energy)
+        np.testing.assert_array_equal(got.canonical, want.canonical)
+        assert got.element == want.element
+        assert got.degenerate == want.degenerate
+        assert got.energy == want.energy
+
+    @pytest.mark.parametrize("corner", [0.0, 1.0, 2.0, 3.0])
+    def test_nan_energy_raises(self, corner):
+        """Wherever the NaN falls in the orbit, the call refuses it."""
+        x = np.arange(4.0).reshape(2, 2)
+        energy = lambda a: math.nan if a[0, 0] == corner else float(a[0, 0])
+        with pytest.raises(ValueError, match="NaN"):
+            finite_orbit_canonicalize(x, quarter_turn_group(), energy=energy)
 
 
 class TestInvariantWrap:
@@ -223,6 +296,13 @@ class TestEquivariantAverage:
             for p in s3.elements:
                 lhs = equivariant_average(s3.apply(p, x), s3, inner)
                 np.testing.assert_array_equal(lhs, s3.apply(p, gx))
+
+    def test_result_is_a_new_array(self):
+        """Writing the result leaves the input alone, even for the identity."""
+        x = np.arange(4.0)
+        out = equivariant_average(x, trivial_group(), lambda a: a)
+        out[0] = 9.0
+        np.testing.assert_array_equal(x, np.arange(4.0))
 
     def test_bad_group_rejected(self):
         bad = FiniteGroup(

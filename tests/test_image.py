@@ -131,6 +131,15 @@ class TestGaussianBlur:
         np.testing.assert_allclose(out[3:-3, :], img.pixels[3:-3, :],
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("sigma", [1e-200, 5e-324])
+    def test_tiny_sigma_is_the_identity(self, sigma):
+        """Where 2 sigma^2 underflows, the taps are still [0, 1, 0]: the blur
+        only clamps, as it does at sigma = 0.01."""
+        img = np.random.default_rng(5).uniform(-0.5, 1.5, size=(6, 7))
+        out = gaussian_blur(img, sigma)
+        assert out.tobytes() == np.clip(img, 0.0, 1.0).tobytes()
+        assert out.tobytes() == gaussian_blur(img, 0.01).tobytes()
+
     def test_preserves_shape(self):
         out = gaussian_blur(GrayImage(np.zeros((5, 8))), 1.5)
         assert out.shape == (5, 8)
