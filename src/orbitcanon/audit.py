@@ -40,7 +40,6 @@ import numpy as np
 
 from .cloud import canonicalize_clouds
 from .image import SCHEMES, canonicalize_images, rotate_image
-from .formats import ReportDocument
 
 # The order of these tables fixes the codes in model files.
 KINDS = ("image", "cloud")
@@ -501,6 +500,34 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
 
 # ---------------------------------------------------------------------------
 # Evaluation
+
+
+@dataclass
+class ReportDocument:
+    """An audit result in serializable form.
+
+    `grid` holds one string label per evaluated transform (degrees for 2-D
+    sweeps, 'i:j' grid steps for 3-D, the scale factor for scale sweeps)
+    and `curve` the matching per-transform accuracy.
+    """
+
+    kind: str
+    mode: str
+    scheme: str
+    canonicalized: bool
+    n_samples: int
+    clean: float
+    average: float
+    worst: float
+    grid: tuple[str, ...]
+    curve: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, ReportDocument):
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in fields(ReportDocument) if f.name != "curve")
+                and np.array_equal(self.curve, other.curve))
 
 
 @dataclass(eq=False)  # keeps ReportDocument's array-aware __eq__

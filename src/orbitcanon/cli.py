@@ -399,7 +399,7 @@ def run(argv=None) -> int:
     except DegenerateCloudError as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,6 @@
 """File formats: PGM rasters, IDX archives, XYZ/OFF clouds, reports, models.
 
+Records are defined in `audit.py` and serialized in `formats.py`.
 Readers validate aggressively and raise ValueError with a location when
 the input is malformed; writers are byte-deterministic so that identical
 inputs always serialize to identical files.  Floats are written with 17
@@ -11,11 +12,12 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .audit import (CANON_MODES, KINDS, MODES, LabeledDataset, LinearSoftmaxModel,
+                    ReportDocument)
 from .image import SCHEMES, GrayImage
 
 _IDX_IMAGES_MAGIC = 0x00000803
@@ -100,7 +102,6 @@ def write_pgm(img, maxval: int = 255) -> bytes:
         raise ValueError(f"maxval {maxval} out of range 1..65535")
     img = GrayImage(img)
     q = np.floor(img.pixels * maxval + 0.5).astype(np.uint16)
-    q = np.minimum(q, maxval)
     header = f"P5\n{img.width} {img.height}\n{maxval}\n".encode("ascii")
     if maxval > 255:
         return header + q.astype(">u2").tobytes()
@@ -245,37 +246,9 @@ def read_off(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Audit reports
 
-# The report's metadata keys, in the order write_report writes them.
+# The v1 preamble's metadata keys, in the order write_report writes them.
 _REPORT_KEYS = ("kind", "mode", "scheme", "canonicalized", "n_samples",
                 "clean", "average", "worst")
-
-
-@dataclass
-class ReportDocument:
-    """An audit result in serializable form.
-
-    `grid` holds one string label per evaluated transform (degrees for 2-D
-    sweeps, 'i:j' grid steps for 3-D, the scale factor for scale sweeps)
-    and `curve` the matching per-transform accuracy.
-    """
-
-    kind: str
-    mode: str
-    scheme: str
-    canonicalized: bool
-    n_samples: int
-    clean: float
-    average: float
-    worst: float
-    grid: tuple[str, ...]
-    curve: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, ReportDocument):
-            return NotImplemented
-        return (all(getattr(self, key) == getattr(other, key) for key in _REPORT_KEYS)
-                and self.grid == other.grid
-                and np.array_equal(self.curve, other.curve))
 
 
 def _cell(value) -> str:
@@ -394,12 +367,12 @@ def save_model(model) -> bytes:
     weights and the f8 bias vector.  The codes index audit.KINDS,
     audit.CANON_MODES, image.SCHEMES and audit.MODES.
     """
-    from .audit import CANON_MODES, KINDS, MODES  # deferred: import cycle
-
     if model.kind not in KINDS:
         raise ValueError(f"unknown model kind {model.kind!r}")
     if model.canonicalize not in CANON_MODES:
         raise ValueError(f"unknown canonicalize mode {model.canonicalize!r}")
+    if model.scheme not in (None,) + SCHEMES:
+        raise ValueError(f"unknown scheme {model.scheme!r}")
     if model.mode not in MODES:
         raise ValueError(f"unknown training mode {model.mode!r}")
     scheme_code = 255 if model.scheme is None else SCHEMES.index(model.scheme)
@@ -423,9 +396,6 @@ def save_model(model) -> bytes:
 
 def load_model(data: bytes):
     """Deserialize a model written by save_model; see there for the layout."""
-    # deferred: import cycle
-    from .audit import CANON_MODES, KINDS, MODES, LinearSoftmaxModel
-
     head_size = struct.calcsize(_MODEL_HEAD)
     if len(data) < head_size:
         raise ValueError("truncated model file")
@@ -499,8 +469,6 @@ def _integer(text: str, what: str) -> int:
 
 def load_dataset(directory):
     """Read back a dataset directory written by save_dataset."""
-    from .audit import KINDS, LabeledDataset  # deferred: import cycle
-
     root = Path(directory)
     manifest = root / "manifest.csv"
     if not manifest.is_file():

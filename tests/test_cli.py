@@ -88,6 +88,17 @@ class TestCanonImage:
                     "--sigma", "inf", "--report", str(report)]) == 1
         assert not out.exists() and not report.exists()
 
+    def test_huge_sigma_is_data_error(self, tmp_path, image_file, capsys):
+        """A blur kernel too large to allocate (437 TiB, more than the
+        128 TiB a process maps by default) is one error line and exit 2."""
+        infile, _ = image_file
+        out = tmp_path / "o.pgm"
+        assert run(["canon-image", "--in", str(infile), "--out", str(out),
+                    "--sigma", "1e13"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_tiny_sigma_blurs_as_a_small_one(self, tmp_path, image_file):
         infile, _ = image_file
         tiny, small = tmp_path / "tiny.pgm", tmp_path / "small.pgm"
@@ -467,6 +478,16 @@ class TestTrainAndAudit:
                     "--model", str(model_path)] + flags) == 1
         assert not model_path.exists()
         assert "finite" in capsys.readouterr().err
+
+    def test_huge_sigma_is_data_error(self, tmp_path, capsys):
+        data = _gen(tmp_path, "images", seed=0, per_class=1)
+        model_path = tmp_path / "m.bin"
+        assert run(["train", "--data", str(data), "--epochs", "3",
+                    "--canon", "train", "--sigma", "1e13",
+                    "--model", str(model_path)]) == 2
+        assert not model_path.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_data_dir_is_data_error(self, tmp_path):
         code = run(["train", "--data", str(tmp_path / "nope"),

@@ -72,6 +72,12 @@ class TestPgm:
         blob = write_pgm(img, maxval=255)
         assert blob.endswith(bytes([0, 128, 255]))
 
+    @pytest.mark.parametrize("maxval, top", [(255, b"\xff"), (65535, b"\xff\xff")])
+    def test_brightest_pixels_write_maxval(self, maxval, top):
+        """1.0 and the largest double below it both land on maxval."""
+        img = GrayImage(np.array([[1.0, np.nextafter(1.0, 0.0)]]))
+        assert write_pgm(img, maxval=maxval).endswith(top + top)
+
     def test_rejects_other_magic(self):
         with pytest.raises(ValueError):
             read_pgm(b"P6\n1 1\n255\n\x00\x00\x00")
@@ -223,6 +229,19 @@ class TestReportDocument:
         with pytest.raises(ValueError):
             read_report("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [line for line in lines if not line.startswith("# clean=")],
+         "missing metadata keys: clean"),
+        (lambda lines: [line.replace("=true", "=yes") for line in lines],
+         "bad canonicalized flag 'yes'"),
+        (lambda lines: lines[:10] + ["0,0,x"] + lines[11:], "line 11: malformed row"),
+        (lambda lines: lines[:-2] + lines[:-3:-1], "row index 8 out of order (expected 7)"),
+    ], ids=["missing-key", "flag", "malformed-row", "row-order"])
+    def test_reader_messages(self, edit, message):
+        lines = write_report(_sample_report()).splitlines()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_report("\n".join(edit(lines)) + "\n")
+
     def test_seventeen_digit_floats_survive(self):
         doc = ReportDocument(kind="image", mode="random_augment",
                              scheme="bicubic", canonicalized=False,
@@ -320,6 +339,38 @@ class TestModelBlob:
             weights=np.zeros((2, 2)), bias=np.zeros(2), kind="cloud"))
         with pytest.raises(ValueError):
             load_model(blob[:-4])
+
+    @pytest.mark.parametrize("offset, code, message", [
+        (8, 2, "bad model kind code 2"),
+        (9, 3, "bad canonicalize code 3"),
+        (10, 3, "bad scheme code 3"),
+        (11, 6, "bad training mode code 6"),
+    ])
+    def test_load_code_messages(self, offset, code, message):
+        blob = bytearray(save_model(LinearSoftmaxModel(
+            weights=np.zeros((2, 2)), bias=np.zeros(2), kind="cloud")))
+        blob[offset] = code
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(bytes(blob))
+
+    def test_load_one_byte_short_message(self):
+        blob = save_model(LinearSoftmaxModel(
+            weights=np.zeros((2, 2)), bias=np.zeros(2), kind="cloud"))
+        with pytest.raises(ValueError, match="^model file is 75 bytes, expected 76$"):
+            load_model(blob[:-1])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kind", "clouds", "unknown model kind 'clouds'"),
+        ("canonicalize", "on", "unknown canonicalize mode 'on'"),
+        ("scheme", "lanczos", "unknown scheme 'lanczos'"),
+        ("mode", "ra", "unknown training mode 'ra'"),
+    ])
+    def test_save_field_messages(self, field, value, message):
+        model = LinearSoftmaxModel(weights=np.zeros((2, 2)), bias=np.zeros(2),
+                                   kind="image", scheme="bilinear")
+        setattr(model, field, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_model(model)
 
 
 class TestDatasetDirectory:

@@ -1,0 +1,57 @@
+"""The package's imports run one way, in the order of MODULE_ORDER.
+
+Each module imports only the modules before it, and only at its top
+level, so no module needs another that needs it back and an import
+never hides inside a function.  __init__.py re-exports everything and
+is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import orbitcanon
+
+MODULE_ORDER = ("groups", "vectors", "cloud", "image", "audit", "formats", "cli")
+PACKAGE = Path(orbitcanon.__file__).parent
+
+
+def _tree(name: str) -> ast.Module:
+    path = PACKAGE / f"{name}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _package_modules(node) -> set[str]:
+    """The orbitcanon modules an import statement names."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    else:
+        module = ".".join(filter(None, ["orbitcanon" if node.level else "", node.module]))
+        paths = ([f"orbitcanon.{alias.name}" for alias in node.names]
+                 if module == "orbitcanon" else [module])
+    return {path.split(".")[1] for path in paths
+            if path.startswith("orbitcanon.")}
+
+
+def test_order_names_every_module():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")
+                  if p.stem != "__init__") == sorted(MODULE_ORDER)
+
+
+@pytest.mark.parametrize("name", MODULE_ORDER)
+def test_no_import_inside_a_body(name):
+    nested = [f"{name}.py:{node.lineno}"
+              for scope in ast.walk(_tree(name))
+              if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              for node in ast.walk(scope)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
+@pytest.mark.parametrize("name", MODULE_ORDER)
+def test_imports_only_earlier_modules(name):
+    imported = set().union(*(_package_modules(node) for node in ast.walk(_tree(name))
+                             if isinstance(node, (ast.Import, ast.ImportFrom))))
+    earlier = set(MODULE_ORDER[:MODULE_ORDER.index(name)])
+    assert imported <= earlier, f"{name} imports {sorted(imported - earlier)}"
