@@ -97,22 +97,28 @@ def eig3_sym(C) -> tuple[np.ndarray, np.ndarray]:
     if not single and (C.ndim != 3 or C.shape[1:] != (3, 3)):
         raise ValueError("expected a 3 x 3 matrix or a stack of them")
     C = C.reshape(-1, 3, 3)
-
-    def fail(lanes, problem):
-        if lanes.size:
-            raise ValueError(f"matrix{'' if single else f' {lanes[0]}'} {problem}")
-
-    fail(np.flatnonzero(~np.isfinite(C).all(axis=(1, 2))), "contains non-finite entries")
-    CT = C.transpose(0, 2, 1)
-    fail(np.flatnonzero(np.linalg.norm(C - CT, axis=(1, 2))
-                        > 1e-10 * np.maximum(np.linalg.norm(C, axis=(1, 2)), 1e-300)),
-         "is not symmetric")
-
-    w, V = np.linalg.eigh((C + CT) / 2.0)
-    order = np.argsort(-w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    _check_lanes(~np.isfinite(C).all(axis=(1, 2)), single, "contains non-finite entries")
+    _check_lanes(np.linalg.norm(C - C.transpose(0, 2, 1), axis=(1, 2))
+                 > 1e-10 * np.maximum(np.linalg.norm(C, axis=(1, 2)), 1e-300),
+                 single, "is not symmetric")
+    w, V = _eigh_descending(C)
     return (w[0], V[0]) if single else (w, V)
+
+
+def _check_lanes(bad: np.ndarray, single: bool, problem: str) -> None:
+    """Raise ValueError naming the first matrix of a stack flagged bad."""
+    lanes = np.flatnonzero(bad)
+    if lanes.size:
+        raise ValueError(f"matrix{'' if single else f' {lanes[0]}'} {problem}")
+
+
+def _eigh_descending(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eig3_sym of a checked stack (N, 3, 3): eigh of the symmetric part, then
+    a stable sort by descending eigenvalue."""
+    w, V = np.linalg.eigh((C + C.transpose(0, 2, 1)) / 2.0)
+    order = np.argsort(-w, axis=1, kind="stable")
+    lanes = np.arange(len(w))[:, None]
+    return w[lanes, order], V[lanes[:, None], np.arange(3)[:, None], order[:, None, :]]
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,9 @@ def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
     (N, P, 3); the frame records the centroids and scales already removed
     from X."""
     norms = _point_norms(X)
-    w, V = eig3_sym(X.transpose(0, 2, 1) @ X)
+    C = X.transpose(0, 2, 1) @ X  # symmetric to rounding; overflows near 1e160, finite clouds too
+    _check_lanes(~np.isfinite(C).all(axis=(1, 2)), False, "contains non-finite entries")
+    w, V = _eigh_descending(C)
     P = X @ V
     sign_tol = SIGN_RTOL * np.maximum(norms.mean(axis=1), 1e-300)[:, None]
 

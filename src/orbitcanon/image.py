@@ -276,7 +276,9 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     Source samples falling outside the unit square give 0; interpolation
     stencils reaching past the raster clamp to the border row/column.
     Output values are clamped to [0, 1], and alpha = 0 reproduces a
-    raster in [0, 1] bit for bit under every scheme.
+    raster in [0, 1] bit for bit under every scheme.  The geometry of an
+    angle (_rotation_taps) is built once per call for a shared angle and
+    once per chunk for one angle per raster; nothing is cached across calls.
     """
     _check_scheme(scheme)
     p = np.asarray(img, dtype=float)
@@ -290,15 +292,18 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     ca, sa = (np.array([f(a) for a in alpha.flat])[:, None, None] for f in (math.cos, math.sin))
     stack = p.reshape(-1, n, n)
     out = np.empty(stack.shape)
+    shared = None if alpha.ndim else _rotation_taps(n, ca, sa, scheme)
     for s in _chunks(len(stack), n):
-        angles = s if alpha.ndim else slice(None)
-        out[s] = _resample(stack[s], ca[angles], sa[angles], scheme)
+        out[s] = _resample(stack[s], shared or _rotation_taps(n, ca[s], sa[s], scheme))
     return out.reshape(p.shape)
 
 
-def _resample(p, ca, sa, scheme: str) -> np.ndarray:
-    """rotate_image of p (L, n, n) by angles of cosine ca and sine sa, (L or 1, 1, 1)."""
-    n = p.shape[-1]
+def _rotation_taps(n: int, ca, sa, scheme: str):
+    """(pad, inside, first, wr, wc) for n x n rasters and angles of cosine ca and sine sa,
+    (L or 1, 1, 1): first indexes each output pixel's first tap in a raster edge-padded by
+    pad (0 nearest, 1 bilinear, 2 bicubic), and tap (i, j) lies i rows and j columns on, of
+    weight wr[i] * wc[j].  Floors clamp to [-1, n - 1], which moves only masked pixels:
+    inside the square every tap reads what clamping the tap itself would read."""
     # Inverse map in index space.  With center m = (n - 1) / 2 the source
     # index of output pixel (r, c) is
     #   col_f = m + cos(a) (c - m) + sin(a) (m - r)
@@ -316,29 +321,36 @@ def _resample(p, ca, sa, scheme: str) -> np.ndarray:
     # Source position inside the unit square <=> index within [-1/2, n-1/2].
     inside = ((col_f >= -0.5) & (col_f <= n - 0.5)
               & (row_f >= -0.5) & (row_f <= n - 0.5))
-
-    # Pixels are gathered by flat index: raster offset, row, column.
-    src, base = p.reshape(-1), np.arange(len(p))[:, None, None] * (n * n)
     if scheme == "nearest":
-        c = np.clip(np.floor(col_f + 0.5), 0, n - 1).astype(int)
-        r = np.clip(np.floor(row_f + 0.5), 0, n - 1).astype(int)
-        out = src.take(base + r * n + c)
+        c, r = (np.clip(np.floor(f + 0.5), 0, n - 1).astype(int) for f in (col_f, row_f))
+        return 0, inside, r * n + c, (), ()
+    c0, r0 = np.floor(col_f), np.floor(row_f)
+    tc, tr = col_f - c0, row_f - r0
+    if scheme == "bilinear":
+        pad, wr, wc = 1, (1.0 - tr, tr), (1.0 - tc, tc)
     else:
-        c0 = np.floor(col_f).astype(int)
-        r0 = np.floor(row_f).astype(int)
-        tc = col_f - c0
-        tr = row_f - r0
-        if scheme == "bilinear":
-            taps, wr, wc = (0, 1), (1.0 - tr, tr), (1.0 - tc, tc)
-        else:
-            taps = (-1, 0, 1, 2)
-            wr, wc = _catmull_rom_weights(tr), _catmull_rom_weights(tc)
-        rows = [base + np.clip(r0 + dr, 0, n - 1) * n for dr in taps]
-        cols = [np.clip(c0 + dc, 0, n - 1) for dc in taps]
-        out = np.zeros(p.shape)
-        for i, row in enumerate(rows):
-            for j, col in enumerate(cols):
-                out += wr[i] * wc[j] * src.take(row + col)
+        pad, wr, wc = 2, _catmull_rom_weights(tr), _catmull_rom_weights(tc)
+    # The first tap sits at offset 0 (bilinear) or -1 (bicubic): padded index floor + 1.
+    first = (np.clip(r0, -1, n - 1) + 1) * (n + 2 * pad) + np.clip(c0, -1, n - 1) + 1
+    return pad, inside, first.astype(int), wr, wc
+
+
+def _resample(p, taps) -> np.ndarray:
+    """rotate_image of p (L, n, n) by a table of _rotation_taps: one gather per tap at
+    a fixed offset into the edge-padded chunk, summed in row-major tap order."""
+    pad, inside, first, wr, wc = taps
+    n, side = p.shape[-1], p.shape[-1] + 2 * pad
+    edge = np.clip(np.arange(-pad, n + pad), 0, n - 1)
+    padded = p.reshape(len(p), -1).take((edge[:, None] * n + edge).ravel(), axis=1) if pad else p
+    src = padded.ravel()
+    at = np.arange(len(p))[:, None, None] * (side * side) + first
+    out = np.zeros(at.shape) if pad else src.take(at)
+    for i, w_r in enumerate(wr):
+        for j, w_c in enumerate(wc):
+            # (w_r * w_c) * value, as one product, in place: multiplication commutes.
+            value = src[i * side + j:].take(at)
+            value *= w_r * w_c
+            out += value
     return np.clip(np.where(inside, out, 0.0), 0.0, 1.0)
 
 

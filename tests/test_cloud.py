@@ -211,6 +211,16 @@ class TestEig3Sym:
         with pytest.raises(ValueError):
             eig3_sym(c)
 
+    def test_single_matrix_messages(self):
+        """One matrix is checked at the boundary and named without an index."""
+        c = np.eye(3)
+        c[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            eig3_sym(c)
+        c[0, 1] = np.inf
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            eig3_sym(c)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             eig3_sym(np.eye(4))
@@ -301,6 +311,15 @@ class TestEig3SymStack:
 
 
 class TestCanonicalizeRotation:
+    def test_overflowing_covariance_rejected(self):
+        """A finite centered cloud near 1e160 passes the cloud checks, but its
+        X^T X overflows: the aligning step still rejects it, as eig3_sym did."""
+        cloud = np.random.default_rng(218).normal(size=(12, 3))
+        cloud = (cloud - cloud.mean(axis=0)) * 1e160
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^matrix 0 contains non-finite entries$"):
+                canonicalize_rotation(cloud)
+
     def test_axis_aligned_fixed_point(self):
         """Covariance diag(8,2,0.5): the identity basis is recovered and the
         first point (2,0,0) pins the x sign; y and z signs come from the
