@@ -358,11 +358,8 @@ def featurize(spec, kind: str, data) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if spec.canonicalize == "train_and_test" or (
             spec.canonicalize == "test_only" and not training):
-        if kind == "cloud":
-            data = canonicalize_clouds(data)[0]
-        else:
-            data = canonicalize_images(data, spec.scheme or "bilinear",
-                                       spec.sigma).canonical
+        data = (canonicalize_clouds(data) if kind == "cloud" else
+                canonicalize_images(data, spec.scheme or "bilinear", spec.sigma)).canonical
     feats = data.reshape(len(data), -1)
     if not training and feats.shape[1] != spec.weights.shape[1]:
         raise ValueError(f"the model takes {_sized(kind, spec.weights.shape[1])}, "

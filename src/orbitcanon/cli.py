@@ -24,14 +24,13 @@ import numpy as np
 
 from . import audit as _audit
 from . import formats as _formats
-from .cloud import (DegenerateCloudError, SimilarityMapping,
-                    canonicalize_similarity, eig3_sym)
-from .groups import (check_group_axioms, equivariant_average, equivariant_canon,
-                     finite_orbit_canonicalize, invariant_wrap,
+from .cloud import (DegenerateCloudError, canonicalize_clouds, canonicalize_similarity,
+                    eig3_sym)
+from .groups import (CanonResult, check_group_axioms, equivariant_average,
+                     equivariant_canon, finite_orbit_canonicalize, invariant_wrap,
                      quarter_turn_group, symmetric_group)
 from .image import GrayImage, SCHEMES, canonicalize_image, canonicalize_images, rotate_image
-from .vectors import (MeanShiftMapping, SortMapping, mean_subtract, sort_canonicalize,
-                      sort_energy)
+from .vectors import mean_subtract, sort_canonicalize, sort_energy
 
 _MODE_NAMES = {"plain": "plain", "ra": "random_augment", "adv": "adversarial",
                "mixed": "mixed", "adv-alp": "adversarial_alp",
@@ -297,17 +296,15 @@ def _equivariance(rng):
     right = np.rot90(equivariant_average(grid, g4, inner), 1)
     assert np.array_equal(left, right)
 
-    mapping = SimilarityMapping()
     X = rng.normal(size=(24, 3)) * np.array([1.4, 1.0, 0.7])
     A = rng.normal(size=(3, 3))
 
-    def inner3(c):
-        return np.asarray(c) @ A
+    def conjugated(clouds):
+        return equivariant_canon(clouds, canonicalize_clouds, lambda c: c @ A,
+                                 lambda frame, y: frame.inverted().transform(y))
 
-    R = _audit.rotation_about(2, 0.7)
-    left3 = equivariant_canon(X @ R, mapping, inner3)
-    right3 = equivariant_canon(X, mapping, inner3) @ R
-    assert np.abs(left3 - right3).max() < 1e-8
+    R = np.array([r for _, r in _audit.rotation_grid_3d()])
+    assert np.abs(conjugated(X @ R) - conjugated(X[None]) @ R).max() < 1e-8
 
 
 def _roundtrips(rng):
@@ -326,13 +323,13 @@ def _roundtrips(rng):
 
 
 def _wrapped_invariance(rng):
-    f = invariant_wrap(SortMapping(), lambda v: float(np.sum(v * np.arange(len(v)))))
+    f = invariant_wrap(sort_canonicalize, lambda v: float(np.sum(v * np.arange(len(v)))))
     x = rng.normal(size=5)
     p = rng.permutation(5)
     assert f(x) == f(x[p])
     res = finite_orbit_canonicalize(x, symmetric_group(5), energy=sort_energy)
     assert np.allclose(res.canonical, sort_canonicalize(x).canonical)
-    g = invariant_wrap(MeanShiftMapping(), lambda v: float(v @ v))
+    g = invariant_wrap(lambda v: CanonResult(mean_subtract(v)[0], None), lambda v: float(v @ v))
     assert abs(g(x) - g(x + 3.25)) < 1e-9
 
 

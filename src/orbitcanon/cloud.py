@@ -10,8 +10,11 @@ coordinates non-negative, with a determinant correction so the aligning
 map is always a proper rotation and never a reflection.
 
 canonicalize_clouds runs all of this on a stack (N, P, 3) of clouds with
-whole-array work, np.linalg.eigh included; canonicalize_similarity and
-canonicalize_rotation are that work on a stack of one.
+whole-array work, np.linalg.eigh included, and returns a CanonResult
+whose element is the stacked PCAFrame; canonicalize_similarity is that
+work on a stack of one.  Each cloud is first divided by the power of two
+at its largest coordinate, exactly, so clouds anywhere in the float range
+canonicalize as they do near unit size.
 """
 
 from __future__ import annotations
@@ -42,36 +45,13 @@ def as_cloud(points) -> np.ndarray:
     return X.copy()
 
 
-def center_cloud(points) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the centroid; returns (centered points, centroid)."""
-    X = as_cloud(points)
-    centroid = X.mean(axis=0)
-    return X - centroid, centroid
-
-
-def normalize_scale(points) -> tuple[np.ndarray, float]:
-    """Divide by the mean distance of the points from the origin.
-
-    Returns (scaled points, the removed scale).  The scale of the output
-    is 1 up to rounding, and rescaled copies of the same cloud map to the
-    same output because the mean norm is absolutely homogeneous.  A cloud
-    whose points all sit at the origin has no scale and raises
-    DegenerateCloudError.
-    """
-    scaled, scale = _unit_scale(as_cloud(points)[None])
-    return scaled[0], float(scale[0])
-
-
-def _unit_scale(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide each cloud of a stack (N, P, 3) by its mean point norm;
-    returns (scaled stack, scales).  In a stack of more than one cloud,
-    the DegenerateCloudError names the cloud with no scale."""
-    scale = _point_norms(X).mean(axis=1)
-    flat = np.flatnonzero(scale == 0.0)
+def _first_bad(bad: np.ndarray, error: type, problem: str) -> None:
+    """Raise error naming the first cloud flagged bad, by index in a stack of
+    more than one."""
+    flat = np.flatnonzero(bad)
     if flat.size:
-        where = f"cloud {flat[0]}: " if len(X) > 1 else ""
-        raise DegenerateCloudError(f"{where}every point is at the origin; no scale to remove")
-    return X / scale[:, None, None], scale
+        where = f"cloud {flat[0]}: " if len(bad) > 1 else ""
+        raise error(f"{where}{problem}")
 
 
 def _point_norms(X: np.ndarray) -> np.ndarray:
@@ -135,8 +115,9 @@ class PCAFrame:
     of one cloud has a float scale and a bool degenerate.
 
     A frame is also the canonicalizing group element: `transform` applies
-    it to a cloud and `inverted` gives the frame of the inverse map.  Both
-    take the frame of one cloud and raise ValueError on that of a stack.
+    it to clouds and `inverted` gives the frame of the inverse map.  The
+    frame of one cloud acts on a cloud (P, 3), that of a stack of N on a
+    stack (N, P, 3), lane by lane; other shapes raise ValueError.
     """
 
     centroid: np.ndarray
@@ -152,27 +133,33 @@ class PCAFrame:
         return self.basis * self.signs[..., None, :]
 
     def transform(self, points) -> np.ndarray:
-        """Run a cloud through the frame: ((X - centroid) / scale) @ rotation."""
-        self._check_one_cloud("transform")
-        return ((as_cloud(points) - self.centroid) / self.scale) @ self.rotation
+        """Run clouds through the frame: ((X - centroid) / scale) @ rotation."""
+        X = np.asarray(points, dtype=float)
+        lead = np.shape(self.centroid)[:-1]
+        if X.ndim != len(lead) + 2 or X.shape[:-2] != lead or X.shape[-1] != 3:
+            raise ValueError("this frame takes points of shape "
+                             f"{' x '.join([*map(str, lead), 'P', '3'])}, "
+                             f"got {' x '.join(map(str, X.shape))}")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("point cloud contains non-finite coordinates")
+        return ((X - self.centroid[..., None, :]) / np.asarray(self.scale)[..., None, None]
+                ) @ self.rotation
 
     def inverted(self) -> PCAFrame:
-        """The frame of one cloud's inverse map, Y -> scale * (Y @ rotation.T)
-        + centroid; singular_values and degenerate are carried over."""
-        self._check_one_cloud("inverted")
+        """The frame of the inverse map, Y -> scale * (Y @ rotation.T) +
+        centroid; singular_values and degenerate are carried over."""
         R = self.rotation
-        return replace(self, centroid=-(self.centroid @ R) / self.scale,
-                       scale=1.0 / self.scale, basis=R.T, signs=np.ones(3))
-
-    def _check_one_cloud(self, method: str) -> None:
-        if np.ndim(self.centroid) != 1:
-            raise ValueError(f"PCAFrame.{method} takes the frame of one cloud, "
-                             f"not of a stack of {len(self.centroid)}")
+        return replace(self, centroid=-(self.centroid[..., None, :] @ R)[..., 0, :]
+                       / np.asarray(self.scale)[..., None],
+                       scale=1.0 / self.scale, basis=np.swapaxes(R, -1, -2),
+                       signs=np.ones_like(self.signs))
 
 
-def canonicalize_rotation(points, sign_reference: str = "first"
-                          ) -> tuple[np.ndarray, PCAFrame]:
-    """Rotate a centered cloud onto its principal axes, deterministically.
+def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
+           scale: np.ndarray) -> tuple[np.ndarray, PCAFrame]:
+    """Rotate each centered, unit-scaled cloud of a validated stack (N, P, 3)
+    onto its principal axes, deterministically; the frame records the
+    centroids and scales already removed from X.
 
     The eigenvectors V of X^T X (descending eigenvalues) fix the axes; the
     leftover per-axis sign freedom is pinned by requiring the reference
@@ -191,39 +178,8 @@ def canonicalize_rotation(points, sign_reference: str = "first"
     cloud: the eigenvectors of (XR)^T (XR) are R^T V up to column signs,
     and the sign rule cancels that remaining freedom.
     """
-    X = as_cloud(points)
-    _check_rotatable(X, sign_reference)
-    mean_norm = float(np.linalg.norm(X, axis=1).mean())
-    if float(np.linalg.norm(X.mean(axis=0))) > 1e-9 * max(mean_norm, 1e-300):
-        raise ValueError("cloud is not centered; subtract the centroid first")
-    return _one_cloud(*_align(X[None], sign_reference, np.zeros((1, 3)), np.ones(1)))
-
-
-def _check_rotatable(X: np.ndarray, sign_reference: str) -> None:
-    if X.shape[-2] < 3:
-        raise ValueError("need at least 3 points to fix a rotation")
-    if sign_reference not in ("first", "max_norm"):
-        raise ValueError(f"unknown sign_reference {sign_reference!r}")
-
-
-def _one_cloud(canonical: np.ndarray, frame: PCAFrame) -> tuple[np.ndarray, PCAFrame]:
-    """The result for a stack of one cloud, as the result for that cloud."""
-    return canonical[0], PCAFrame(
-        centroid=frame.centroid[0], scale=float(frame.scale[0]),
-        basis=frame.basis[0], signs=frame.signs[0],
-        singular_values=frame.singular_values[0],
-        degenerate=bool(frame.degenerate[0]))
-
-
-def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
-           scale: np.ndarray) -> tuple[np.ndarray, PCAFrame]:
-    """The rotation step of canonicalize_rotation on a validated stack
-    (N, P, 3); the frame records the centroids and scales already removed
-    from X."""
     norms = _point_norms(X)
-    C = X.transpose(0, 2, 1) @ X  # symmetric to rounding; overflows near 1e160, finite clouds too
-    _check_lanes(~np.isfinite(C).all(axis=(1, 2)), False, "contains non-finite entries")
-    w, V = _eigh_descending(C)
+    w, V = _eigh_descending(X.transpose(0, 2, 1) @ X)  # symmetric to rounding
     P = X @ V
     sign_tol = SIGN_RTOL * np.maximum(norms.mean(axis=1), 1e-300)[:, None]
 
@@ -266,58 +222,60 @@ def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
 
 def canonicalize_similarity(points, sign_reference: str = "first"
                             ) -> tuple[np.ndarray, PCAFrame]:
-    """Full similarity canonicalization: center, unit-scale, then rotate.
+    """Full similarity canonicalization of one cloud: center, unit-scale,
+    then rotate.
 
-    Returns the canonical cloud and the frame that produced it;
-    frame.transform(original) reproduces the canonical cloud.  Clouds
-    related by any combination of rotation, uniform scaling and
-    translation map to the same canonical cloud up to rounding.  The
-    centered cloud is not re-checked for being centered, which rounding
-    breaks at offsets far beyond its spread.  This is canonicalize_clouds
-    on a stack of one.
+    Returns the canonical cloud and the frame that produced it, with a
+    float scale and a bool degenerate; frame.transform(original)
+    reproduces the canonical cloud.  This is canonicalize_clouds on a
+    stack of one.
     """
-    return _one_cloud(*canonicalize_clouds(as_cloud(points)[None], sign_reference))
+    res = canonicalize_clouds(as_cloud(points)[None], sign_reference)
+    f = res.element
+    return res.canonical[0], PCAFrame(
+        centroid=f.centroid[0], scale=float(f.scale[0]), basis=f.basis[0], signs=f.signs[0],
+        singular_values=f.singular_values[0], degenerate=bool(f.degenerate[0]))
 
 
-def canonicalize_clouds(clouds, sign_reference: str = "first"
-                        ) -> tuple[np.ndarray, PCAFrame]:
-    """canonicalize_similarity of every cloud of a stack (N, P, 3) at once.
+def canonicalize_clouds(clouds, sign_reference: str = "first") -> CanonResult:
+    """Similarity canonicalization of every cloud of a stack (N, P, 3) at once.
 
-    Returns the stack of canonical clouds and one PCAFrame whose fields
-    all carry the leading axis N.  Each cloud's canonical form and frame
-    equal those canonicalize_similarity gives it alone, bit for bit, so
-    they do not depend on the other clouds of the stack.  A cloud whose
-    points all coincide raises DegenerateCloudError, which names its
-    index when the stack holds more than one cloud.
+    Returns a CanonResult whose fields all carry the leading axis N: the
+    canonical clouds, the canonicalizing PCAFrame (element), its
+    degenerate flags, and the variance along each leading canonical axis
+    (energy, the quantity the axis alignment maximizes).  Clouds related
+    by any combination of rotation, uniform scaling and translation map to
+    the same canonical cloud up to rounding, over the whole float range:
+    each cloud is first divided by 2^e, e the exponent of its largest
+    |coordinate|, which is exact, and the frame's centroid and scale are
+    multiplied back by 2^e.  A scale that overflows there raises
+    ValueError.  Each cloud's result does not depend on the other clouds
+    of the stack, bit for bit.  A cloud whose points all coincide raises
+    DegenerateCloudError; errors name the cloud's index when the stack
+    holds more than one.  The centered cloud is not re-checked for being
+    centered, which rounding breaks at offsets far beyond its spread.
     """
     X = np.asarray(clouds, dtype=float)
     if X.ndim != 3 or X.shape[2] != 3 or X.shape[1] < 1:
         raise ValueError("expected an N x P x 3 stack of point clouds")
-    if not np.all(np.isfinite(X)):
+    top = np.abs(X).max(axis=(1, 2))
+    if not np.all(np.isfinite(top)):
         raise ValueError("point cloud contains non-finite coordinates")
+    e = np.frexp(top)[1]
+    X = np.ldexp(X, -e[:, None, None])
     centroid = X.mean(axis=1)
-    scaled, scale = _unit_scale(X - centroid[:, None, :])
-    _check_rotatable(scaled, sign_reference)
-    return _align(scaled, sign_reference, centroid, scale)
-
-
-class SimilarityMapping:
-    """Cloud canonicalizer in the interface the equivariant wrapper expects.
-
-    The element is the canonicalizing PCAFrame itself; its energy is the
-    variance captured along the leading canonical axis, the quantity the
-    axis alignment maximizes.
-    """
-
-    def __init__(self, sign_reference: str = "first"):
-        self.sign_reference = sign_reference
-
-    def __call__(self, points) -> CanonResult:
-        canonical, frame = canonicalize_similarity(
-            points, sign_reference=self.sign_reference)
-        return CanonResult(canonical=canonical, element=frame,
-                           degenerate=frame.degenerate,
-                           energy=float(frame.singular_values[0] ** 2))
-
-    apply = staticmethod(PCAFrame.transform)
-    inverse = staticmethod(PCAFrame.inverted)
+    X -= centroid[:, None, :]
+    scale = _point_norms(X).mean(axis=1)
+    _first_bad(scale == 0.0, DegenerateCloudError,
+               "every point is at the origin; no scale to remove")
+    with np.errstate(over="ignore"):
+        restored = np.ldexp(scale, e)
+    _first_bad(np.isinf(restored), ValueError,
+               "the mean distance from the centroid overflows the float range")
+    if X.shape[1] < 3:
+        raise ValueError("need at least 3 points to fix a rotation")
+    if sign_reference not in ("first", "max_norm"):
+        raise ValueError(f"unknown sign_reference {sign_reference!r}")
+    X /= scale[:, None, None]
+    canonical, frame = _align(X, sign_reference, np.ldexp(centroid, e[:, None]), restored)
+    return CanonResult(canonical, frame, frame.degenerate, frame.singular_values[:, 0] ** 2)

@@ -21,13 +21,17 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CanonResult:
-    """Outcome of canonicalizing one datum.
+    """Outcome of canonicalizing one datum, or a stack of them.
 
     canonical  -- the selected orbit element (same space as the input)
     element    -- the group element that maps the input to `canonical`
     degenerate -- True when the selection criterion had no unique maximizer
                   and a documented tie-break was used
     energy     -- value of the selection criterion at the canonical element
+
+    A canonicalizer is a function from data to a CanonResult.  On a stack
+    every field carries the stack's leading axis: canonical forms,
+    elements (an array of angles, a stacked PCAFrame), flags and energies.
     """
 
     canonical: Any
@@ -94,17 +98,18 @@ def check_group_axioms(group: FiniteGroup, probes: Sequence[Any]) -> None:
                 )
 
 
-def invariant_wrap(canonicalizer: Callable[[Any], CanonResult],
+def invariant_wrap(canonicalize: Callable[[Any], CanonResult],
                    predictor: Callable[[Any], Any]) -> Callable[[Any], Any]:
     """Compose a predictor with an orbit mapping, making it invariant.
 
-    The canonicalizer must be a deterministic total function; degenerate
+    canonicalize is any function returning a CanonResult, such as
+    sort_canonicalize, and must be deterministic and total; degenerate
     canonicalizations do not abort, the predictor simply runs on the
     tie-broken canonical form.
     """
 
     def wrapped(x):
-        return predictor(canonicalizer(x).canonical)
+        return predictor(canonicalize(x).canonical)
 
     return wrapped
 
@@ -125,18 +130,18 @@ def equivariant_average(x, group: FiniteGroup, inner: Callable[[Any], Any]):
     return sum(terms, next(terms).copy())
 
 
-def equivariant_canon(x, canonicalizer, inner: Callable[[Any], Any]):
-    """Make `inner` equivariant via an orbit mapping.
+def equivariant_canon(x, canonicalize: Callable[[Any], CanonResult],
+                      inner: Callable[[Any], Any], undo: Callable[[Any, Any], Any]):
+    """Make `inner` equivariant via an orbit mapping: undo(g, inner(g x)).
 
-    Computes ghat(x) through the canonicalizer, applies `inner` to the
-    canonical form, and maps the result back with the inverse element.
-    The canonicalizer must expose `apply(element, datum)` and
-    `inverse(element)` alongside being callable; see the mapping classes
-    in the vector, cloud and image modules.
+    canonicalize returns the canonical form g x and the element g as a
+    CanonResult; undo(g, y) maps y back by the inverse of g.  For
+    permutations it is permute(invert_permutation(g), y); for clouds,
+    lambda f, y: f.inverted().transform(y), which also runs a whole stack
+    through canonicalize_clouds' stacked frame in one call.
     """
-    res = canonicalizer(x)
-    y = inner(res.canonical)
-    return canonicalizer.apply(canonicalizer.inverse(res.element), y)
+    res = canonicalize(x)
+    return undo(res.element, inner(res.canonical))
 
 
 def finite_orbit_canonicalize(x, group: FiniteGroup,

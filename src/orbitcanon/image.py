@@ -70,10 +70,6 @@ class GrayImage:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    @property
-    def is_square(self) -> bool:
-        return self.height == self.width
-
 
 def _require_rasters(pixels: np.ndarray) -> int:
     if pixels.ndim < 2 or pixels.shape[-1] != pixels.shape[-2]:
@@ -408,25 +404,3 @@ def canonicalize_images(stack, scheme: str = "bilinear",
     canonical = rotate_image(p, alpha, scheme)
     canonical[degenerate] = p[degenerate]
     return CanonResult(canonical, alpha, degenerate, energy)
-
-
-class RotationMapping:
-    """Image canonicalizer in the interface the equivariant wrapper expects.
-
-    Elements are rotation angles in radians acting by
-    apply(alpha, img) = rotate_image(img, alpha, scheme).
-    """
-
-    def __init__(self, scheme: str = "bilinear", sigma: float = 1.0):
-        self.scheme = _check_scheme(scheme)
-        self.sigma = sigma
-
-    def __call__(self, img) -> CanonResult:
-        return canonicalize_image(img, scheme=self.scheme, sigma=self.sigma)
-
-    def apply(self, alpha: float, img) -> np.ndarray:
-        return rotate_image(img, alpha, self.scheme)
-
-    @staticmethod
-    def inverse(alpha: float) -> float:
-        return -alpha

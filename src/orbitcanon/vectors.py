@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import CanonResult, invert_permutation, permute
+from .groups import CanonResult
 
 
 def as_vector(x) -> np.ndarray:
@@ -70,33 +70,3 @@ def sort_canonicalize(x) -> CanonResult:
     )
     return CanonResult(canonical=canonical, element=tuple(order),
                        degenerate=degenerate, energy=sort_energy(canonical))
-
-
-class SortMapping:
-    """Permutation canonicalizer in the interface the equivariant wrapper expects."""
-
-    def __call__(self, x) -> CanonResult:
-        return sort_canonicalize(x)
-
-    apply = staticmethod(permute)
-    inverse = staticmethod(invert_permutation)
-
-
-class MeanShiftMapping:
-    """Shift canonicalizer in the interface the equivariant wrapper expects.
-
-    Elements are real offsets c acting by x -> x + c; the canonicalizing
-    element is -mean(x).
-    """
-
-    def __call__(self, x) -> CanonResult:
-        centered, mu = mean_subtract(x)
-        return CanonResult(canonical=centered, element=-mu, energy=0.0)
-
-    @staticmethod
-    def apply(c, x):
-        return np.asarray(x, dtype=float) + c
-
-    @staticmethod
-    def inverse(c):
-        return -c

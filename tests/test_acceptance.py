@@ -27,11 +27,14 @@ from orbitcanon.audit import (
 )
 from orbitcanon.cli import SELFTEST_CHECKS, SELFTEST_SEED
 from orbitcanon.cli import run as cli_run
-from orbitcanon.cloud import SimilarityMapping, canonicalize_similarity
+from orbitcanon.cloud import canonicalize_clouds, canonicalize_similarity
 from orbitcanon.formats import write_report
 from orbitcanon.groups import (
+    CanonResult,
     equivariant_average,
     equivariant_canon,
+    invert_permutation,
+    permute,
     quarter_turn_group,
     symmetric_group,
 )
@@ -44,7 +47,7 @@ from orbitcanon.image import (
     rotate_image,
     smooth_model,
 )
-from orbitcanon.vectors import MeanShiftMapping, SortMapping, sort_canonicalize, sort_energy
+from orbitcanon.vectors import mean_subtract, sort_canonicalize, sort_energy
 
 # Pinned pilot configuration for the cloud classifier criteria (1 and 3).
 CLOUD_TRAIN_SEED = 0
@@ -294,32 +297,38 @@ def test_criterion_07_equivariance_wrappers():
                 s3.apply(p, gx))
 
     # Permutation canonicalizer: exact over all 120 length-5 orders.
-    sort_map = SortMapping()
+    unpermute = lambda p, y: permute(invert_permutation(p), y)
     x = np.array([5.0, -3.0, 2.0, -7.0, 1.0])
-    gx = equivariant_canon(x, sort_map, np.cumsum)
+    gx = equivariant_canon(x, sort_canonicalize, np.cumsum, unpermute)
     for p in symmetric_group(5).elements:
         np.testing.assert_array_equal(
-            equivariant_canon(x[list(p)], sort_map, np.cumsum), gx[list(p)])
+            equivariant_canon(x[list(p)], sort_canonicalize, np.cumsum, unpermute),
+            gx[list(p)])
 
     # Shift canonicalizer: dyadic values, power-of-two length => exact.
-    shift_map = MeanShiftMapping()
+    def shift_canon(v):
+        centered, mu = mean_subtract(v)
+        return CanonResult(canonical=centered, element=-mu)
+
+    unshift = lambda c, y: y - c
     for _ in range(100):
         v = rng.integers(-64, 65, size=8).astype(float) / 16.0
         c = float(rng.integers(-64, 65)) / 16.0
         np.testing.assert_array_equal(
-            equivariant_canon(v + c, shift_map, np.cumsum),
-            equivariant_canon(v, shift_map, np.cumsum) + c)
+            equivariant_canon(v + c, shift_canon, np.cumsum, unshift),
+            equivariant_canon(v, shift_canon, np.cumsum, unshift) + c)
 
     # 3D similarity canonicalizer: 1e-8 over 100 random rotations.
-    cloud_map = SimilarityMapping()
     shift_inner = lambda pts: pts + np.array([1.0, 0.0, 0.0])
+    unframe = lambda frame, y: frame.inverted().transform(y)
     clouds = gen_synthetic_clouds(seed=72, n_per_class=2, n_points=32)
     worst = 0.0
     for cloud, _ in clouds.samples[:5]:
-        gx = equivariant_canon(cloud, cloud_map, shift_inner)
+        gx = equivariant_canon(cloud[None], canonicalize_clouds, shift_inner, unframe)[0]
         for _ in range(20):
             rot = _random_rotation(rng)
-            lhs = equivariant_canon(cloud @ rot, cloud_map, shift_inner)
+            lhs = equivariant_canon((cloud @ rot)[None], canonicalize_clouds, shift_inner,
+                                    unframe)[0]
             worst = max(worst, float(np.abs(lhs - gx @ rot).max()))
     assert worst <= 1e-8
     print(f"criterion 7: exact finite-group checks passed; "

@@ -529,11 +529,12 @@ class TestSweepStack:
             np.testing.assert_array_equal(report.per_sample_worst, ref.per_sample_worst)
 
     def test_scale_audit_names_the_dataset_cloud(self, tmp_path, capsys):
-        """Cloud 5 at 1e-160 has a scale, but its 0.001x copy underflows to
-        none; the error names cloud 5, not its lane in the chunk."""
+        """Cloud 5, of coordinates at most 400 times the smallest subnormal,
+        has a scale, but its 0.001x copy rounds to zero; the error names
+        cloud 5, not its lane in the chunk."""
         data = gen_synthetic_clouds(seed=0, n_per_class=2)
         inputs = data.inputs.copy()
-        inputs[5] *= 1e-160
+        inputs[5] = np.round(inputs[5] / np.abs(inputs[5]).max() * 400.0) * 2.0 ** -1074
         bad = tmp_path / "bad"
         save_dataset(LabeledDataset(kind="cloud", inputs=inputs, targets=data.targets,
                                     class_names=data.class_names, seed=0), bad)
@@ -551,15 +552,15 @@ class TestSweepStack:
 
     @pytest.mark.parametrize("n_clouds,named", [(8, "cloud 5: "), (1, "")])
     def test_degenerate_lane_past_a_chunks_first_grid_point(self, n_clouds, named):
-        """Points at +-a on the x axis, a * a = 0.6 of the smallest subnormal:
-        unrotated, each squared norm rounds up to that subnormal, but the
-        45-degree turn of grid point 2:0 (the 33rd, inside the first chunk)
-        halves both squares and they round to zero.  The error names the
-        dataset's cloud, not its lane in the chunk, and a lone cloud none."""
+        """x coordinates of 450 to 549 times the smallest subnormal u, exact:
+        at scale 0.001 they round to 0 or u, at 0.01 (the 2nd grid point,
+        inside the first chunk) all to 5u, so every point lands on the same
+        one.  The error names the dataset's cloud, not its lane in the
+        chunk, and a lone cloud none."""
         data = gen_synthetic_clouds(seed=0, n_per_class=2)
         inputs = data.inputs[:n_clouds].copy()
         inputs[5 % n_clouds] = 0.0
-        inputs[5 % n_clouds, :, 0] = math.sqrt(0.6) * 2.0 ** -537 * (-1.0) ** np.arange(64)
+        inputs[5 % n_clouds, :, 0] = np.linspace(450.0, 549.0, 64).round() * 2.0 ** -1074
         data = LabeledDataset(kind="cloud", inputs=inputs, targets=data.targets[:n_clouds],
                               class_names=data.class_names, seed=0)
         model = _constant_model(data)
@@ -567,7 +568,7 @@ class TestSweepStack:
         assert SWEEP_CHUNK_FLOATS // data.inputs.size > 32
         with pytest.raises(DegenerateCloudError,
                            match=f"^{named}every point is at the origin"):
-            evaluate_rotation_grid_3d(model, data)
+            evaluate_scale_sweep(model, data)
 
     def test_peak_memory_of_the_rotation_grid(self):
         """The 3-D audit of 40 canonicalized 64-point clouds holds the stack

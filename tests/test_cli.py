@@ -202,6 +202,37 @@ class TestCanonCloud:
                                    read_xyz(near.with_suffix(".canon").read_text()),
                                    atol=1e-7)
 
+    @pytest.mark.parametrize("factor", [1e160, 1e300, 1e-300, 1e-310])
+    def test_clouds_at_the_ends_of_the_float_range(self, tmp_path, capsys, factor):
+        """A cloud scaled to either end of the float range canonicalizes like
+        the unscaled cloud, with its scale in the frame and nothing on stderr."""
+        pts = np.random.default_rng(504).normal(size=(12, 3))
+        near, far = tmp_path / "near.xyz", tmp_path / "far.xyz"
+        near.write_text(write_xyz(pts))
+        far.write_text(write_xyz(factor * pts))
+        for path in (near, far):
+            assert run(["canon-cloud", "--in", str(path), "--out", str(path.with_suffix(".canon")),
+                        "--frame", str(path.with_suffix(".csv"))]) == 0
+        assert capsys.readouterr().err == ""
+        np.testing.assert_allclose(read_xyz(far.with_suffix(".canon").read_text()),
+                                   read_xyz(near.with_suffix(".canon").read_text()),
+                                   rtol=0.0, atol=1e-12)
+        scale = [float(line.split(",")[1]) for path in (near, far)
+                 for line in path.with_suffix(".csv").read_text().splitlines()
+                 if line.startswith("scale,")]
+        assert math.isclose(scale[1], factor * scale[0], rel_tol=1e-12)
+
+    def test_overflowing_scale_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.xyz"
+        path.write_text(write_xyz(np.array([[1.7e308, 1.7e308, 1.7e308],
+                                            [-1.7e308, -1.7e308, -1.7e308],
+                                            [1.7e308, -1.7e308, 0.0]])))
+        code = run(["canon-cloud", "--in", str(path), "--out", str(tmp_path / "c.xyz")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the mean distance from the centroid overflows the float range\n")
+        assert not (tmp_path / "c.xyz").exists()
+
     def test_degenerate_cloud_exit_code(self, tmp_path, capsys):
         path = tmp_path / "flat.xyz"
         path.write_text(write_xyz(np.zeros((5, 3))))

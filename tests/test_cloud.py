@@ -5,18 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from orbitcanon.audit import rotation_grid_3d
 from orbitcanon.cloud import (
     DegenerateCloudError,
-    SimilarityMapping,
+    PCAFrame,
     as_cloud,
     canonicalize_clouds,
-    canonicalize_rotation,
     canonicalize_similarity,
-    center_cloud,
     eig3_sym,
-    normalize_scale,
 )
 from orbitcanon.cloud import _point_norms
+from orbitcanon.groups import CanonResult, equivariant_canon
 
 
 def _random_rotation(rng):
@@ -113,59 +112,68 @@ class TestAsCloud:
         assert x[0, 0] == 1.0
 
 
+OCTAHEDRON = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0],
+                       [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
+
+
 class TestCenterCloud:
+    """The centering step, read from the frame's centroid."""
+
     def test_single_point(self):
-        centered, centroid = center_cloud([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(centered, [[0.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(centroid, [1.0, 2.0, 3.0])
+        """A cloud at one point centers to the origin, which has no scale."""
+        with pytest.raises(DegenerateCloudError, match="^every point is at the origin"):
+            canonicalize_similarity([[1.0, 2.0, 3.0]])
 
     def test_already_centered(self):
-        x = np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
-        centered, centroid = center_cloud(x)
-        np.testing.assert_array_equal(centered, x)
-        np.testing.assert_array_equal(centroid, [0.0, 0.0, 0.0])
+        _, frame = canonicalize_similarity(AXIS_ALIGNED)
+        _assert_bits_equal(frame.centroid, np.zeros(3))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(201)
         for _ in range(100):
             x = rng.normal(size=(12, 3))
             t = rng.uniform(-50, 50, size=3)
-            a, _ = center_cloud(x)
-            b, _ = center_cloud(x + t)
-            np.testing.assert_allclose(b, a, atol=1e-12 * max(1.0, np.abs(t).max()))
+            res = canonicalize_clouds(np.array([x, x + t]))
+            np.testing.assert_allclose(res.element.centroid[1], x.mean(axis=0) + t,
+                                       rtol=0.0, atol=1e-13 * max(1.0, np.abs(t).max()))
+            np.testing.assert_allclose(res.canonical[1], res.canonical[0],
+                                       atol=1e-10 * max(1.0, np.abs(t).max()))
 
 
 class TestNormalizeScale:
+    """The scale step, read from the frame's scale."""
+
     def test_hand_example(self):
-        scaled, s = normalize_scale([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(scaled, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        assert s == 2.0
+        canonical, frame = canonicalize_similarity(2.0 * OCTAHEDRON)
+        assert frame.scale == 2.0
+        _assert_bits_equal(np.linalg.norm(canonical, axis=1), np.ones(6))
 
     def test_unit_cloud_unchanged(self):
-        x = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        scaled, s = normalize_scale(x)
-        np.testing.assert_array_equal(scaled, x)
-        assert s == 1.0
+        """The unit octahedron's X^T X is 2 I, whose eigenvectors are I."""
+        canonical, frame = canonicalize_similarity(OCTAHEDRON)
+        _assert_bits_equal(canonical, OCTAHEDRON)
+        assert frame.scale == 1.0
 
     def test_output_mean_norm_is_one(self):
         rng = np.random.default_rng(202)
         for _ in range(100):
             x = rng.normal(size=(20, 3)) * rng.uniform(0.01, 100.0)
-            scaled, _ = normalize_scale(x)
+            canonical, _ = canonicalize_similarity(x)
             np.testing.assert_allclose(
-                np.linalg.norm(scaled, axis=1).mean(), 1.0, rtol=1e-12)
+                np.linalg.norm(canonical, axis=1).mean(), 1.0, rtol=1e-12)
 
     def test_scale_invariance_extreme_factors(self):
         rng = np.random.default_rng(203)
         x = rng.normal(size=(16, 3))
-        base, _ = normalize_scale(x)
+        base, base_frame = canonicalize_similarity(x)
         for c in (0.001, 1000.0):
-            scaled, _ = normalize_scale(c * x)
+            scaled, frame = canonicalize_similarity(c * x)
             np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(frame.scale, c * base_frame.scale, rtol=1e-14)
 
     def test_all_points_at_origin_rejected(self):
         with pytest.raises(DegenerateCloudError):
-            normalize_scale(np.zeros((4, 3)))
+            canonicalize_similarity(np.zeros((4, 3)))
 
 
 class TestEig3Sym:
@@ -311,66 +319,51 @@ class TestEig3SymStack:
 
 
 class TestCanonicalizeRotation:
-    def test_overflowing_covariance_rejected(self):
-        """A finite centered cloud near 1e160 passes the cloud checks, but its
-        X^T X overflows: the aligning step still rejects it, as eig3_sym did."""
-        cloud = np.random.default_rng(218).normal(size=(12, 3))
-        cloud = (cloud - cloud.mean(axis=0)) * 1e160
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="^matrix 0 contains non-finite entries$"):
-                canonicalize_rotation(cloud)
+    """The rotation step: principal axes, pinned signs, proper rotations."""
 
     def test_axis_aligned_fixed_point(self):
         """Covariance diag(8,2,0.5): the identity basis is recovered and the
         first point (2,0,0) pins the x sign; y and z signs come from the
         first-nonzero fallback, which flags the result."""
-        canonical, frame = canonicalize_rotation(AXIS_ALIGNED)
-        np.testing.assert_array_equal(canonical, AXIS_ALIGNED)
+        canonical, frame = canonicalize_similarity(AXIS_ALIGNED)
+        _assert_bits_equal(frame.centroid, np.zeros(3))
+        _assert_bits_equal(canonical, AXIS_ALIGNED / frame.scale)
         np.testing.assert_array_equal(np.abs(frame.basis), np.eye(3))
         np.testing.assert_array_equal(frame.signs * frame.basis.diagonal(),
                                       [1.0, 1.0, 1.0])
         assert frame.degenerate
-        np.testing.assert_allclose(frame.singular_values,
+        np.testing.assert_allclose(frame.singular_values * frame.scale,
                                    np.sqrt([8.0, 2.0, 0.5]), rtol=1e-12)
 
     def test_rotated_axis_aligned_recovers(self):
         rng = np.random.default_rng(206)
+        base, _ = canonicalize_similarity(AXIS_ALIGNED)
         for _ in range(100):
             rot = _random_rotation(rng)
-            canonical, _ = canonicalize_rotation(AXIS_ALIGNED @ rot)
-            np.testing.assert_allclose(canonical, AXIS_ALIGNED, atol=1e-8)
-
-    def test_requires_centered_input(self):
-        with pytest.raises(ValueError):
-            canonicalize_rotation(AXIS_ALIGNED + np.array([1.0, 0.0, 0.0]))
+            canonical, _ = canonicalize_similarity(AXIS_ALIGNED @ rot)
+            np.testing.assert_allclose(canonical, base, atol=1e-8)
 
     def test_requires_three_points(self):
-        with pytest.raises(ValueError):
-            canonicalize_rotation(np.array([[1.0, 0.0, 0.0],
-                                            [-1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="at least 3 points"):
+            canonicalize_similarity(np.array([[1.0, 0.0, 0.0],
+                                              [-1.0, 0.0, 0.0]]))
 
     def test_octahedron_is_degenerate(self):
         """All covariance eigenvalues tie on the regular octahedron."""
-        x = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0],
-                      [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
-        _, frame = canonicalize_rotation(x)
+        _, frame = canonicalize_similarity(OCTAHEDRON)
         assert frame.degenerate
 
     def test_proper_rotation_always(self):
         rng = np.random.default_rng(207)
-        for _ in range(50):
-            x = rng.normal(size=(10, 3))
-            x = x - x.mean(axis=0)
-            _, frame = canonicalize_rotation(x)
-            np.testing.assert_allclose(
-                np.linalg.det(frame.rotation), 1.0, rtol=1e-10)
-            np.testing.assert_allclose(frame.basis.T @ frame.basis,
-                                       np.eye(3), atol=1e-10)
+        res = canonicalize_clouds(rng.normal(size=(50, 10, 3)))
+        frame = res.element
+        np.testing.assert_allclose(np.linalg.det(frame.rotation), 1.0, rtol=1e-10)
+        np.testing.assert_allclose(np.swapaxes(frame.basis, 1, 2) @ frame.basis,
+                                   np.broadcast_to(np.eye(3), (50, 3, 3)), atol=1e-10)
 
     def test_sign_reference_validation(self):
-        x = AXIS_ALIGNED.copy()
-        with pytest.raises(ValueError):
-            canonicalize_rotation(x, sign_reference="nope")
+        with pytest.raises(ValueError, match="unknown sign_reference"):
+            canonicalize_similarity(AXIS_ALIGNED, sign_reference="nope")
 
 
 class TestCanonicalizeSimilarity:
@@ -458,28 +451,28 @@ class TestPermutationBehavior:
 
 
 class TestSimilarityMapping:
+    """canonicalize_clouds as an orbit mapping: its CanonResult's element is
+    the stacked frame that maps each input cloud to its canonical form."""
+
     def test_element_maps_input_to_canonical(self):
         rng = np.random.default_rng(214)
-        mapping = SimilarityMapping()
-        x = rng.normal(size=(14, 3)) * 4.0 + np.array([1.0, 2.0, -3.0])
-        res = mapping(x)
-        np.testing.assert_allclose(mapping.apply(res.element, x),
-                                   res.canonical, atol=1e-10)
+        x = rng.normal(size=(5, 14, 3)) * 4.0 + np.array([1.0, 2.0, -3.0])
+        res = canonicalize_clouds(x)
+        assert isinstance(res, CanonResult) and isinstance(res.element, PCAFrame)
+        np.testing.assert_allclose(res.element.transform(x), res.canonical, atol=1e-10)
 
     def test_inverse_element_restores_input(self):
         rng = np.random.default_rng(215)
-        mapping = SimilarityMapping()
-        x = rng.normal(size=(14, 3)) * 0.2 + np.array([0.5, 0.0, 9.0])
-        res = mapping(x)
-        back = mapping.apply(mapping.inverse(res.element), res.canonical)
-        np.testing.assert_allclose(back, x, atol=1e-9)
+        x = rng.normal(size=(5, 14, 3)) * 0.2 + np.array([0.5, 0.0, 9.0])
+        res = canonicalize_clouds(x)
+        np.testing.assert_allclose(res.element.inverted().transform(res.canonical), x,
+                                   atol=1e-9)
 
     def test_energy_is_leading_variance(self):
-        mapping = SimilarityMapping()
-        res = mapping(AXIS_ALIGNED * 1.0)
-        _, frame = canonicalize_similarity(AXIS_ALIGNED)
-        np.testing.assert_allclose(res.energy, frame.singular_values[0] ** 2,
-                                   rtol=1e-12)
+        res = canonicalize_clouds(np.array([AXIS_ALIGNED, 3.0 * OCTAHEDRON]))
+        _assert_bits_equal(res.energy, res.element.singular_values[:, 0] ** 2)
+        _assert_bits_equal(res.degenerate, res.element.degenerate)
+        np.testing.assert_allclose(res.energy, [8.0 / (7.0 / 6.0) ** 2, 2.0], rtol=1e-12)
 
 
 def _frame_fields(frame):
@@ -510,9 +503,11 @@ class TestCanonicalizeClouds:
     @pytest.mark.parametrize("sign_reference", ["first", "max_norm"])
     def test_lanes_equal_clouds_alone(self, sign_reference):
         stack = self._stack()
-        canonical, frame = canonicalize_clouds(stack, sign_reference)
+        res = canonicalize_clouds(stack, sign_reference)
+        canonical, frame = res.canonical, res.element
         assert canonical.shape == stack.shape
         assert frame.scale.shape == frame.degenerate.shape == (len(stack),)
+        assert res.degenerate.shape == res.energy.shape == (len(stack),)
         for i, cloud in enumerate(stack):
             alone, alone_frame = canonicalize_similarity(cloud, sign_reference)
             _assert_bits_equal(canonical[i], alone)
@@ -531,10 +526,11 @@ class TestCanonicalizeClouds:
         rng = np.random.default_rng(220)
         stack = np.array([rng.normal(size=(8, 3)) * [1.5, 1.0, 0.5], cloud,
                           rng.normal(size=(8, 3)) * [1.5, 1.0, 0.5]])
-        canonical, frame = canonicalize_clouds(stack, "max_norm")
+        res = canonicalize_clouds(stack, "max_norm")
+        canonical = res.canonical
         assert canonical[1, 1, 0] > 0.0 > canonical[1, 0, 0]
         assert canonical[1, 2, 1] > 0.0 and canonical[1, 4, 2] > 0.0
-        np.testing.assert_array_equal(frame.degenerate, [False, True, False])
+        np.testing.assert_array_equal(res.degenerate, [False, True, False])
 
     def test_point_norms_sum_as_the_library_norm(self):
         """Squares whose sum depends on the order of addition: 1 + 0.6 ulp
@@ -549,8 +545,6 @@ class TestCanonicalizeClouds:
 
     def test_one_cloud_views_keep_scalar_fields(self):
         _, frame = canonicalize_similarity(AXIS_ALIGNED)
-        assert type(frame.scale) is float and type(frame.degenerate) is bool
-        _, frame = canonicalize_rotation(AXIS_ALIGNED)
         assert type(frame.scale) is float and type(frame.degenerate) is bool
 
     def test_degenerate_cloud_is_named(self):
@@ -572,15 +566,97 @@ class TestCanonicalizeClouds:
             canonicalize_clouds(bad)
 
 
+def _undo(frame, y):
+    """Map y back by the inverse of the frame's similarity transform."""
+    return frame.inverted().transform(y)
+
+
 class TestPCAFrameOfAStack:
     @pytest.mark.parametrize("n", [1, 3, 4])
-    def test_stacked_frame_is_not_a_group_element(self, n):
-        """transform and inverted take the frame of one cloud.  Without the
-        check, a stack of 3 inverts to a (3, 3, 3) centroid without error."""
-        stack = np.random.default_rng(222).normal(size=(n, 8, 3))
-        _, frame = canonicalize_clouds(stack)
-        with pytest.raises(ValueError, match=f"^PCAFrame.inverted takes the frame of "
-                                             f"one cloud, not of a stack of {n}$"):
-            frame.inverted()
-        with pytest.raises(ValueError, match="^PCAFrame.transform takes the frame of one"):
-            frame.transform(stack[0])
+    def test_stacked_frame_acts_lane_by_lane(self, n):
+        """A stacked frame's transform and inverse give each lane the bits of
+        that lane's own frame; data with another leading axis raise."""
+        stack = np.random.default_rng(222).normal(size=(n, 8, 3)) * [2.0, 1.0, 0.5]
+        res = canonicalize_clouds(stack)
+        frame, inverse = res.element, res.element.inverted()
+        moved, back = frame.transform(stack), inverse.transform(res.canonical)
+        assert inverse.centroid.shape == (n, 3) and inverse.scale.shape == (n,)
+        for i, cloud in enumerate(stack):
+            canonical, alone = canonicalize_similarity(cloud)
+            _assert_bits_equal(moved[i], alone.transform(cloud))
+            _assert_bits_equal(back[i], alone.inverted().transform(canonical))
+            for stacked, single in zip(_frame_fields(inverse), _frame_fields(alone.inverted())):
+                _assert_bits_equal(stacked[i], single)
+        for wrong in (stack[0], np.concatenate([stack, stack]), stack[None]):
+            with pytest.raises(ValueError, match="^this frame takes points of shape"):
+                frame.transform(wrong)
+        _, one = canonicalize_similarity(stack[0])
+        with pytest.raises(ValueError, match="^this frame takes points of shape P x 3, got"):
+            one.transform(stack)
+
+    def test_equivariant_canon_over_the_rotation_grid(self):
+        """Conjugating an inner map by the canonicalizer commutes with all 256
+        grid rotations, every rotated copy in one call: G(x R) = G(x) R."""
+        rng = np.random.default_rng(223)
+        x = rng.normal(size=(24, 3)) * [1.4, 1.0, 0.7] + rng.normal(size=3)
+        A = rng.normal(size=(3, 3))
+        grid = np.array([rot for _, rot in rotation_grid_3d()])
+        moved = equivariant_canon(x @ grid, canonicalize_clouds, lambda c: c @ A, _undo)
+        once = equivariant_canon(x[None], canonicalize_clouds, lambda c: c @ A, _undo)
+        assert moved.shape == (256, 24, 3)
+        assert np.abs(moved - once @ grid).max() <= 1e-8
+
+
+class TestScaleRange:
+    """Each cloud is divided by the power of two at its largest coordinate
+    before centering, exactly, so the float range's ends canonicalize."""
+
+    @staticmethod
+    def _clouds(n=40):
+        rng = np.random.default_rng(224)
+        return rng.normal(size=(n, 16, 3)) * [1.5, 1.0, 0.6] + rng.normal(size=(n, 1, 3))
+
+    def test_scaled_copies_agree_across_the_range(self):
+        """c X canonicalizes like X to 1e-12 for c from 1e-300 to 1e300
+        (600 decades), and the scale comes back as c times X's."""
+        x = self._clouds()
+        base = canonicalize_clouds(x)
+        for c in 10.0 ** np.arange(-300, 301, 20.0):
+            res = canonicalize_clouds(c * x)
+            np.testing.assert_allclose(res.canonical, base.canonical, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(res.element.scale, c * base.element.scale, rtol=1e-14)
+            assert not res.degenerate.any()
+
+    def test_subnormal_clouds_canonicalize(self):
+        """Coordinates near 1e-310 keep about 12 significant digits."""
+        x = self._clouds(8)
+        base = canonicalize_clouds(x)
+        res = canonicalize_clouds(1e-310 * x)
+        np.testing.assert_allclose(res.canonical, base.canonical, rtol=0.0, atol=1e-10)
+        assert not res.degenerate.any()
+
+    def test_power_of_two_factors_keep_the_bits(self):
+        x = self._clouds()
+        base = canonicalize_clouds(x)
+        for e in (-1000, -64, 1, 64, 1000):
+            res = canonicalize_clouds(np.ldexp(x, e))
+            _assert_bits_equal(res.canonical, base.canonical)
+            _assert_bits_equal(res.element.scale, np.ldexp(base.element.scale, e))
+            _assert_bits_equal(res.element.centroid, np.ldexp(base.element.centroid, e))
+
+    def test_largest_finite_coordinates(self):
+        cloud = np.zeros((4, 3))
+        cloud[0, 0], cloud[1, 1], cloud[2, 2] = 1.7e308, -1.7e308, 1.7e308
+        canonical, frame = canonicalize_similarity(cloud)
+        assert np.all(np.isfinite(canonical)) and math.isfinite(frame.scale)
+        np.testing.assert_allclose(frame.scale, 1.2412045502299768e308, rtol=1e-12)
+
+    def test_overflowing_scale_raises(self):
+        """Corners at +-1.7e308 lie 2.9e308 from their centroid: no float
+        holds that scale, so the call raises instead of dividing by inf."""
+        cube = 1.7e308 * np.array([[x, y, z] for x in (-1.0, 1.0)
+                                   for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+        with pytest.raises(ValueError, match="^the mean distance from the centroid overflows"):
+            canonicalize_similarity(cube)
+        with pytest.raises(ValueError, match="^cloud 1: the mean distance from the centroid"):
+            canonicalize_clouds(np.array([cube / 1e300, cube]))
