@@ -31,15 +31,12 @@ from .cloud import (
 )
 from .image import (
     GrayImage,
-    MeanGradient,
     SmoothImageModel,
-    canonical_angle,
     canonicalize_image,
     canonicalize_images,
     gaussian_blur,
     mean_gradient,
     rotate_image,
-    smooth_model,
 )
 from .audit import (
     AuditReport,
@@ -96,15 +93,12 @@ __all__ = [
     "canonicalize_similarity",
     "eig3_sym",
     "GrayImage",
-    "MeanGradient",
     "SmoothImageModel",
-    "canonical_angle",
     "canonicalize_image",
     "canonicalize_images",
     "gaussian_blur",
     "mean_gradient",
     "rotate_image",
-    "smooth_model",
     "AuditReport",
     "LabeledDataset",
     "LinearSoftmaxModel",

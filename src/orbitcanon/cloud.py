@@ -12,9 +12,9 @@ map is always a proper rotation and never a reflection.
 canonicalize_clouds runs all of this on a stack (N, P, 3) of clouds with
 whole-array work, np.linalg.eigh included, and returns a CanonResult
 whose element is the stacked PCAFrame; canonicalize_similarity is that
-work on a stack of one.  Each cloud is first divided by the power of two
-at its largest coordinate, exactly, so clouds anywhere in the float range
-canonicalize as they do near unit size.
+work on a stack of one.  Each cloud is divided by the power of two at its
+largest coordinate, and again after centering, exactly, so clouds anywhere
+in the float range canonicalize as they do near unit size.
 """
 
 from __future__ import annotations
@@ -247,13 +247,16 @@ def canonicalize_clouds(clouds, sign_reference: str = "first") -> CanonResult:
     by any combination of rotation, uniform scaling and translation map to
     the same canonical cloud up to rounding, over the whole float range:
     each cloud is first divided by 2^e, e the exponent of its largest
-    |coordinate|, which is exact, and the frame's centroid and scale are
-    multiplied back by 2^e.  A scale that overflows there raises
-    ValueError.  Each cloud's result does not depend on the other clouds
-    of the stack, bit for bit.  A cloud whose points all coincide raises
-    DegenerateCloudError; errors name the cloud's index when the stack
-    holds more than one.  The centered cloud is not re-checked for being
-    centered, which rounding breaks at offsets far beyond its spread.
+    |coordinate|, and the centered cloud by 2^e2, e2 that of its largest
+    centered |coordinate|, both exact, so a spread far below the cloud's
+    offset does not underflow either.  The frame's centroid is multiplied
+    back by 2^e and its scale by 2^(e + e2); a scale that overflows there
+    raises ValueError.  Each cloud's result does not depend on the other
+    clouds of the stack, bit for bit.  A cloud whose points all coincide
+    raises DegenerateCloudError, also where their mean rounds; errors name
+    the cloud's index when the stack holds more than one.  The centered
+    cloud is not re-checked for being centered, which rounding breaks at
+    offsets far beyond its spread.
     """
     X = np.asarray(clouds, dtype=float)
     if X.ndim != 3 or X.shape[2] != 3 or X.shape[1] < 1:
@@ -265,11 +268,14 @@ def canonicalize_clouds(clouds, sign_reference: str = "first") -> CanonResult:
     X = np.ldexp(X, -e[:, None, None])
     centroid = X.mean(axis=1)
     X -= centroid[:, None, :]
-    scale = _point_norms(X).mean(axis=1)
-    _first_bad(scale == 0.0, DegenerateCloudError,
+    # Coincident points center to zeros, or to +-1 ulp where their mean rounds.
+    _first_bad(np.all(X[:, 1:] == X[:, :-1], axis=(1, 2)), DegenerateCloudError,
                "every point is at the origin; no scale to remove")
+    spread = np.frexp(np.abs(X).max(axis=(1, 2)))[1]
+    np.ldexp(X, -spread[:, None, None], out=X)
+    scale = _point_norms(X).mean(axis=1)
     with np.errstate(over="ignore"):
-        restored = np.ldexp(scale, e)
+        restored = np.ldexp(scale, e + spread)
     _first_bad(np.isinf(restored), ValueError,
                "the mean distance from the centroid overflows the float range")
     if X.shape[1] < 3:

@@ -190,21 +190,6 @@ class SmoothImageModel:
         return np.stack([g1, g2], axis=-1)
 
 
-@dataclass(frozen=True)
-class MeanGradient:
-    """Mean model gradient over the probe circles, (z1, z2) components; arrays for a stack."""
-
-    g1: float
-    g2: float
-    magnitude: float
-    sample_count: int
-
-
-def smooth_model(img, sigma: float = 1.0) -> SmoothImageModel:
-    """Blur the raster and wrap it in the continuous model."""
-    return SmoothImageModel(gaussian_blur(img, sigma))
-
-
 @lru_cache(maxsize=None)
 def _gradient_map(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """mean_gradient of an n x n raster X as weights on its differences X[r + 1, c] - X[r, c]
@@ -225,39 +210,26 @@ def _gradient_map(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return maps
 
 
-def mean_gradient(model: SmoothImageModel) -> MeanGradient:
-    """Average the model gradient over the two probe circles.
+def mean_gradient(rasters) -> tuple[np.ndarray, np.ndarray]:
+    """Mean SmoothImageModel gradient (g1, g2) of blurred rasters (..., n, n)
+    over the two probe circles, one value of each per raster.
 
     Each circle contributes the mean of its CIRCLE_SAMPLES gradient
     samples; the circles are then averaged with equal weight.  The small
     circle reads orientation near the center, the large one near the
     border, and both lie inside the square so rotation moves their probe
     values with the image.  It is one contraction with weights cached per
-    size; a stack's model gives each raster's own mean, bit for bit.
+    size, so each raster of a stack gets its own mean, bit for bit.  The
+    canonical angle is atan2(g2, g1); canonicalize_images takes an image
+    with hypot(g1, g2) <= GRADIENT_THRESHOLD as having no orientation.
     """
-    image, n = model.image, _require_rasters(model.image)
+    image = np.asarray(rasters, dtype=float)
+    n = _require_rasters(image)
     flat = image.reshape(image.shape[:-2] + (-1,))
     # einsum (numpy's own summation, not BLAS) gives a raster the same bits in a stack as alone.
     g1, g2 = (np.einsum("j,...j->...", weights, flat.take(cells + step, -1) - flat.take(cells, -1))
               for (cells, weights), step in zip(_gradient_map(n), (n, 1)))
-    magnitude = np.hypot(g1, g2)
-    if image.ndim == 2:
-        g1, g2, magnitude = float(g1), float(g2), float(magnitude)
-    return MeanGradient(g1, g2, magnitude, len(CIRCLE_RADII) * CIRCLE_SAMPLES)
-
-
-def canonical_angle(mg: MeanGradient, threshold: float = GRADIENT_THRESHOLD):
-    """Angle that rotates the mean gradient onto the +z1 axis.
-
-    Returns (alpha, degenerate).  alpha = atan2(g2, g1) lies in (-pi, pi];
-    rotating the image content counter-clockwise by alpha turns the mean
-    gradient to point "up".  When the mean gradient magnitude is at or
-    below the threshold the orientation is undefined and (0.0, True) is
-    returned.  A stack's mean gradient gives arrays of both.
-    """
-    degenerate = np.asarray(mg.magnitude) <= threshold
-    alpha = np.where(degenerate, 0.0, np.vectorize(math.atan2, otypes=[float])(mg.g2, mg.g1))
-    return (alpha, degenerate) if degenerate.ndim else (float(alpha), bool(degenerate))
+    return g1, g2
 
 
 def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
@@ -389,18 +361,26 @@ def canonicalize_images(stack, scheme: str = "bilinear",
     """canonicalize_image of each raster of a stack (N, n, n), bit for bit.
 
     Returns one CanonResult whose fields carry the leading axis: canonical
-    rasters, angles, degenerate flags and mean gradient magnitudes.  The
-    stack goes CHUNK_PIXELS at a time; a non-finite raster raises ValueError.
+    rasters, angles, degenerate flags and mean gradient magnitudes.  With
+    (g1, g2) the mean_gradient of the blurred raster, the energy is
+    hypot(g1, g2) and the angle atan2(g2, g1), in (-pi, pi]: rotating the
+    content counter-clockwise by it turns the mean gradient onto +z1.  A
+    raster whose energy is at or below GRADIENT_THRESHOLD has no
+    orientation; it gets angle 0.0 and the degenerate flag, and is returned
+    unrotated.  The stack goes CHUNK_PIXELS at a time; a non-finite raster
+    raises ValueError.
     """
     p = np.asarray(stack, dtype=float)
     n = _require_rasters(p)
     _check_scheme(scheme)
     if p.ndim != 3:
         raise ValueError(f"expected a stack (N, n, n) of rasters, got shape {p.shape}")
-    alpha, degenerate, energy = np.empty(len(p)), np.empty(len(p), bool), np.empty(len(p))
+    g1, g2 = np.empty(len(p)), np.empty(len(p))
     for s in _chunks(len(p), n):
-        mg = mean_gradient(smooth_model(p[s], sigma))
-        (alpha[s], degenerate[s]), energy[s] = canonical_angle(mg), mg.magnitude
+        g1[s], g2[s] = mean_gradient(gaussian_blur(p[s], sigma))
+    energy = np.hypot(g1, g2)
+    degenerate = energy <= GRADIENT_THRESHOLD
+    alpha = np.where(degenerate, 0.0, np.vectorize(math.atan2, otypes=[float])(g2, g1))
     canonical = rotate_image(p, alpha, scheme)
     canonical[degenerate] = p[degenerate]
     return CanonResult(canonical, alpha, degenerate, energy)

@@ -41,11 +41,10 @@ from orbitcanon.groups import (
 from orbitcanon.image import (
     GRADIENT_THRESHOLD,
     GrayImage,
-    canonical_angle,
-    canonicalize_image,
-    mean_gradient,
+    SmoothImageModel,
+    canonicalize_images,
+    gaussian_blur,
     rotate_image,
-    smooth_model,
 )
 from orbitcanon.vectors import mean_subtract, sort_canonicalize, sort_energy
 
@@ -180,27 +179,19 @@ def test_criterion_04_2d_angle_consistency():
     suite = gen_synthetic_images(seed=2, n_per_class=4)
     betas = np.radians(np.arange(360.0))
     start = time.monotonic()
+    first = canonicalize_images(suite.inputs, scheme="bilinear", sigma=1.0)
+    assert not first.degenerate.any()
     residuals = []
-    for img, _ in suite.samples:
-        mg = mean_gradient(smooth_model(img, 1.0))
-        alpha0, degenerate = canonical_angle(mg)
-        assert not degenerate
-        for beta in betas:
-            rotated = rotate_image(img, float(beta), "bilinear")
-            alpha, _ = canonical_angle(
-                mean_gradient(smooth_model(rotated, 1.0)))
-            residuals.append(_wrap_angle(alpha - alpha0 + beta))
+    for img, alpha0 in zip(suite.inputs, first.element):
+        rotated = rotate_image(np.broadcast_to(img, betas.shape + img.shape), betas, "bilinear")
+        alpha = canonicalize_images(rotated).element
+        residuals.append(_wrap_angle(alpha - alpha0 + betas))
     residuals = np.abs(residuals)
     fraction = float(np.mean(residuals <= math.radians(2.0)))
 
-    fixed_point_worst = 0.0
-    for img, _ in suite.samples:
-        res = canonicalize_image(img, scheme="bilinear", sigma=1.0)
-        if res.degenerate or res.energy <= 10.0 * GRADIENT_THRESHOLD:
-            continue
-        alpha, _ = canonical_angle(
-            mean_gradient(smooth_model(res.canonical, 1.0)))
-        fixed_point_worst = max(fixed_point_worst, abs(alpha))
+    strong = first.energy > 10.0 * GRADIENT_THRESHOLD
+    again = canonicalize_images(first.canonical[strong]).element
+    fixed_point_worst = float(np.abs(again).max(initial=0.0))
     elapsed = time.monotonic() - start
 
     assert fraction >= 0.95
@@ -367,7 +358,7 @@ def test_criterion_09_gradient_finite_differences():
     within 1e-6 at 1000 interior points clear of the cell boundaries."""
     rng = np.random.default_rng(91)
     img = GrayImage(rng.random((16, 16)))
-    model = smooth_model(img, 1.0)
+    model = SmoothImageModel(gaussian_blur(img, 1.0))
     step = 1e-5
     n = 16
     pts = []

@@ -243,6 +243,17 @@ class TestCanonCloud:
             "error: degenerate input: every point is at the origin; "
             "no scale to remove\n")
 
+    def test_coincident_cloud_with_an_inexact_mean_exit_code(self, tmp_path, capsys):
+        """64 copies of (0.1, 0.2, 0.3) center to rounding noise, not zeros."""
+        path = tmp_path / "point.xyz"
+        path.write_text(write_xyz(np.tile([0.1, 0.2, 0.3], (64, 1))))
+        code = run(["canon-cloud", "--in", str(path), "--out", str(tmp_path / "c.xyz")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: degenerate input: every point is at the origin; "
+            "no scale to remove\n")
+        assert not (tmp_path / "c.xyz").exists()
+
 
 class TestGenData:
     def test_cloud_dataset_on_disk(self, tmp_path):

@@ -557,6 +557,18 @@ class TestCanonicalizeClouds:
                            match="^every point is at the origin"):
             canonicalize_similarity(stack[5])
 
+    @pytest.mark.parametrize("point", [(0.1, 0.2, 0.3), (1 / 3, 1 / 3, 1 / 3)])
+    def test_coincident_points_with_an_inexact_mean(self, point):
+        """The mean of 64 copies of these rounds, so centering leaves +-1 ulp,
+        not zeros; the cloud still has no scale to remove."""
+        cloud = np.tile(point, (64, 1))
+        with pytest.raises(DegenerateCloudError, match="^every point is at the origin"):
+            canonicalize_similarity(cloud)
+        stack = np.random.default_rng(220).normal(size=(4, 64, 3))
+        stack[2] = cloud
+        with pytest.raises(DegenerateCloudError, match="^cloud 2: every point is at the origin"):
+            canonicalize_clouds(stack)
+
     def test_rejects_bad_stacks(self):
         with pytest.raises(ValueError):
             canonicalize_clouds(np.ones((4, 3)))
@@ -609,7 +621,8 @@ class TestPCAFrameOfAStack:
 
 class TestScaleRange:
     """Each cloud is divided by the power of two at its largest coordinate
-    before centering, exactly, so the float range's ends canonicalize."""
+    before centering, and by that of its largest centered coordinate after,
+    exactly, so the float range's ends canonicalize."""
 
     @staticmethod
     def _clouds(n=40):
@@ -643,6 +656,20 @@ class TestScaleRange:
             _assert_bits_equal(res.canonical, base.canonical)
             _assert_bits_equal(res.element.scale, np.ldexp(base.element.scale, e))
             _assert_bits_equal(res.element.centroid, np.ldexp(base.element.centroid, e))
+
+    def test_spread_far_below_the_offset(self):
+        """x = 1 and (y, z) of spread 1e-170, whose squares underflow unless
+        the centered cloud is rescaled, canonicalize like x = 0 and (y, z) of
+        unit spread: the x axis carries no spread and cannot pin its sign, so
+        both are flagged."""
+        unit = self._clouds(8)
+        unit[..., 0] = 0.0
+        tiny = unit * [1.0, 1e-170, 1e-170]
+        tiny[..., 0] = 1.0
+        base, res = canonicalize_clouds(unit), canonicalize_clouds(tiny)
+        np.testing.assert_allclose(res.canonical, base.canonical, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.element.scale, 1e-170 * base.element.scale, rtol=1e-14)
+        np.testing.assert_array_equal(res.degenerate, base.degenerate)
 
     def test_largest_finite_coordinates(self):
         cloud = np.zeros((4, 3))

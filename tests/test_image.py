@@ -14,16 +14,13 @@ from orbitcanon.image import (
     CIRCLE_SAMPLES,
     GRADIENT_THRESHOLD,
     GrayImage,
-    MeanGradient,
     SCHEMES,
     SmoothImageModel,
-    canonical_angle,
     canonicalize_image,
     canonicalize_images,
     gaussian_blur,
     mean_gradient,
     rotate_image,
-    smooth_model,
 )
 from orbitcanon.image import _catmull_rom_weights
 
@@ -204,7 +201,7 @@ class TestSmoothImageModel:
         interpolation cell boundaries (where the surface is affine)."""
         rng = np.random.default_rng(305)
         img = GrayImage(rng.random((16, 16)))
-        model = smooth_model(img, 1.0)
+        model = SmoothImageModel(gaussian_blur(img, 1.0))
         step = 1e-5
         pts = _interior_points(rng, 200, 16, margin=4.0 * step)
         g = model.gradient(pts)
@@ -238,24 +235,19 @@ class TestMeanGradient:
         assert CIRCLE_SAMPLES == 1000
 
     def test_constant_image_degenerate(self):
-        mg = mean_gradient(smooth_model(GrayImage(np.full((16, 16), 0.4)), 1.0))
-        assert mg.magnitude == 0.0
-        alpha, degenerate = canonical_angle(mg)
-        assert alpha == 0.0 and degenerate
+        img = GrayImage(np.full((16, 16), 0.4))
+        assert _bits(mean_gradient(gaussian_blur(img, 1.0))) == _bits([0.0, 0.0])
+        res = canonicalize_image(img)
+        assert res.element == 0.0 and res.degenerate and res.energy == 0.0
 
     def test_vertical_ramp(self):
-        mg = mean_gradient(smooth_model(_ramp_z1(32), 1.0))
-        np.testing.assert_allclose([mg.g1, mg.g2], [1.0, 0.0], atol=1e-3)
-        np.testing.assert_allclose(mg.magnitude, 1.0, atol=1e-3)
-        assert mg.sample_count == 2 * CIRCLE_SAMPLES
+        g1, g2 = mean_gradient(gaussian_blur(_ramp_z1(32), 1.0))
+        np.testing.assert_allclose([g1, g2], [1.0, 0.0], atol=1e-3)
+        np.testing.assert_allclose(np.hypot(g1, g2), 1.0, atol=1e-3)
 
     def test_horizontal_ramp(self):
-        mg = mean_gradient(smooth_model(_ramp_z2(32), 1.0))
-        np.testing.assert_allclose([mg.g1, mg.g2], [0.0, 1.0], atol=1e-3)
-
-    def test_magnitude_consistency(self):
-        mg = MeanGradient(g1=3.0, g2=4.0, magnitude=5.0, sample_count=2000)
-        assert mg.magnitude == np.hypot(mg.g1, mg.g2)
+        g = mean_gradient(gaussian_blur(_ramp_z2(32), 1.0))
+        np.testing.assert_allclose(g, [0.0, 1.0], atol=1e-3)
 
     def test_rotation_commutation(self):
         """Rotating the image rotates the mean gradient, within 1 percent.
@@ -266,47 +258,67 @@ class TestMeanGradient:
         """
         data = gen_synthetic_images(seed=31, n_per_class=1, size=64)
         for img, _ in data.samples[:3]:
-            mg = mean_gradient(smooth_model(img, 1.0))
+            g1, g2 = mean_gradient(gaussian_blur(img, 1.0))
             for beta in (math.radians(20.0), math.radians(125.0)):
                 rotated = rotate_image(img, beta, "bilinear")
-                got = mean_gradient(smooth_model(rotated, 1.0))
-                want1 = mg.g1 * math.cos(beta) + mg.g2 * math.sin(beta)
-                want2 = mg.g2 * math.cos(beta) - mg.g1 * math.sin(beta)
-                err = np.hypot(got.g1 - want1, got.g2 - want2)
-                assert err <= 1e-2 * mg.magnitude
+                got1, got2 = mean_gradient(gaussian_blur(rotated, 1.0))
+                want1 = g1 * math.cos(beta) + g2 * math.sin(beta)
+                want2 = g2 * math.cos(beta) - g1 * math.sin(beta)
+                err = np.hypot(got1 - want1, got2 - want2)
+                assert err <= 1e-2 * np.hypot(g1, g2)
 
 
 class TestCanonicalAngle:
+    """The angle atan2(g2, g1) of the blurred raster's mean gradient, and the
+    degeneracy rule energy <= GRADIENT_THRESHOLD, through canonicalize_image(s)."""
+
     def test_up_is_zero(self):
-        alpha, degenerate = canonical_angle(
-            MeanGradient(1.0, 0.0, 1.0, 2000))
-        assert alpha == 0.0 and not degenerate
+        res = canonicalize_image(_ramp_z1(32))
+        assert res.element == 0.0 and not res.degenerate
 
     def test_right_needs_quarter_turn(self):
-        alpha, degenerate = canonical_angle(
-            MeanGradient(0.0, 1.0, 1.0, 2000))
-        assert alpha == np.pi / 2 and not degenerate
+        res = canonicalize_image(_ramp_z2(32))
+        assert res.element == np.pi / 2 and not res.degenerate
 
     def test_quarter_turn_brings_gradient_up(self):
         """Rotating the horizontal ramp by its canonical angle yields an
         upward mean gradient."""
         img = _ramp_z2(32)
-        mg = mean_gradient(smooth_model(img, 1.0))
-        alpha, _ = canonical_angle(mg)
-        turned = rotate_image(img, alpha, "bilinear")
-        mg2 = mean_gradient(smooth_model(turned, 1.0))
-        np.testing.assert_allclose([mg2.g1, mg2.g2], [1.0, 0.0], atol=0.02)
+        turned = rotate_image(img, canonicalize_image(img).element, "bilinear")
+        np.testing.assert_allclose(mean_gradient(gaussian_blur(turned, 1.0)), [1.0, 0.0],
+                                   atol=0.02)
 
     def test_down_maps_to_pi(self):
-        alpha, _ = canonical_angle(MeanGradient(-1.0, 0.0, 1.0, 2000))
-        assert alpha == np.pi
+        res = canonicalize_image(_ramp_z1(32).pixels[::-1])
+        assert res.element == np.pi and not res.degenerate
 
-    def test_threshold_flags_degenerate(self):
-        weak = MeanGradient(0.0, 5e-9, 5e-9, 2000)
-        alpha, degenerate = canonical_angle(weak, GRADIENT_THRESHOLD)
-        assert alpha == 0.0 and degenerate
-        alpha, degenerate = canonical_angle(weak, 1e-10)
-        assert degenerate is False and alpha == np.pi / 2
+    @pytest.mark.parametrize("k", [-6, -3, -1, -0.01, 0, 0.01, 1, 3, 6])
+    def test_threshold_flags_degenerate(self, k):
+        """Ramps of slope GRADIENT_THRESHOLD * 10^k / E, E the energy at slope 1,
+        so of energy 10^k times the threshold; at k = 0 the slope is moved by
+        ulps until the z1 ramp's energy is the threshold itself.  The flag is
+        set exactly when the energy is at or below the threshold, the energy
+        is linear in the slope, and an unflagged z1, z2 or flipped z1 ramp
+        gets the angle 0, pi/2 or pi exactly."""
+        ramps = np.stack([_ramp_z1(32).pixels, _ramp_z2(32).pixels, _ramp_z1(32).pixels[::-1]])
+        unit = canonicalize_images(ramps).energy
+        slope = GRADIENT_THRESHOLD * 10.0 ** k / unit[0]
+        if k == 0:
+            slopes = slope + np.arange(-32, 33) * np.spacing(slope)
+            at = canonicalize_images(slopes[:, None, None] * ramps[0]).energy == GRADIENT_THRESHOLD
+            assert at.any()
+            slope = slopes[at.argmax()]
+        res = canonicalize_images(slope * ramps)
+        np.testing.assert_array_equal(res.degenerate, res.energy <= GRADIENT_THRESHOLD)
+        np.testing.assert_allclose(res.energy, slope * unit, rtol=1e-13)
+        if k:
+            np.testing.assert_array_equal(res.degenerate, k < 0)
+        else:
+            assert res.energy[0] == GRADIENT_THRESHOLD and res.degenerate[0]
+        for flagged, alpha, want in zip(res.degenerate, res.element, [0.0, np.pi / 2, np.pi]):
+            assert alpha == (0.0 if flagged else want)
+        np.testing.assert_array_equal(res.canonical[res.degenerate],
+                                      (slope * ramps)[res.degenerate])
 
 
 class TestRotateImage:
@@ -458,8 +470,7 @@ class TestCanonicalizeImage:
     def test_energy_is_gradient_magnitude(self):
         img = _ramp_z1(32)
         res = canonicalize_image(img)
-        mg = mean_gradient(smooth_model(img, 1.0))
-        assert res.energy == mg.magnitude
+        assert res.energy == np.hypot(*mean_gradient(gaussian_blur(img, 1.0)))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -628,17 +639,15 @@ class TestStackedImagePath:
         stack = rng.random((6, n, n))
         stack[1] = 0.5
         stack[2, :, :] = rng.random(n)[None, :]
-        mg = mean_gradient(SmoothImageModel(stack))
-        assert mg.g1.shape == (6,) and mg.sample_count == 2 * CIRCLE_SAMPLES
-        assert _bits([mg.g1[1], mg.g2[1], mg.magnitude[1], mg.g1[2]]) == _bits([0.0] * 4)
+        g1, g2 = mean_gradient(stack)
+        assert g1.shape == g2.shape == (6,)
+        assert _bits([g1[1], g2[1], g1[2]]) == _bits([0.0] * 3)
         for i, img in enumerate(stack):
             want = _reference_mean_gradient(img)
-            got = [mg.g1[i], mg.g2[i], mg.magnitude[i]]
+            got = [g1[i], g2[i], np.hypot(g1[i], g2[i])]
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=MEAN_GRADIENT_RTOL * max(want[2], 1.0))
-            one = mean_gradient(SmoothImageModel(img))
-            assert _bits([one.g1, one.g2, one.magnitude]) == _bits(got)
-            assert type(one.g1) is float and type(one.magnitude) is float
+            assert _bits(mean_gradient(img)) == _bits(got[:2])
 
     @pytest.mark.parametrize("n", [2, 7, 16, 17])
     def test_mean_gradient_is_exact_to_rounding(self, n):
@@ -648,20 +657,18 @@ class TestStackedImagePath:
         rng = np.random.default_rng(321 + n)
         stack = rng.random((6, n, n))
         stack[2, :, :] = rng.random(n)[None, :]
-        mg = mean_gradient(SmoothImageModel(stack[[0, 2]]))
+        got = np.transpose(mean_gradient(stack[[0, 2]]))
         for i, img in enumerate(stack[[0, 2]]):
             g1, g2 = _exact_mean_gradient(img)
-            np.testing.assert_allclose([mg.g1[i], mg.g2[i]], [g1, g2], rtol=0,
+            np.testing.assert_allclose(got[i], [g1, g2], rtol=0,
                                        atol=4e-15 * max(math.hypot(g1, g2), 1.0))
 
     def test_canonical_angle_of_stack(self):
-        mg = MeanGradient(g1=np.array([1.0, 0.0, -1.0, 0.0]),
-                          g2=np.array([0.0, 1.0, 0.0, 5e-9]),
-                          magnitude=np.array([1.0, 1.0, 1.0, 5e-9]),
-                          sample_count=2000)
-        alpha, degenerate = canonical_angle(mg)
-        np.testing.assert_array_equal(alpha, [0.0, np.pi / 2, np.pi, 0.0])
-        np.testing.assert_array_equal(degenerate, [False, False, False, True])
+        """Up, right and down ramps and a faint right ramp (energy about 5e-9)."""
+        up, right = _ramp_z1(32).pixels, _ramp_z2(32).pixels
+        res = canonicalize_images(np.stack([up, right, up[::-1], 5e-9 * right]))
+        np.testing.assert_array_equal(res.element, [0.0, np.pi / 2, np.pi, 0.0])
+        np.testing.assert_array_equal(res.degenerate, [False, False, False, True])
 
     @pytest.mark.parametrize("n", [7, 16, 33])
     @pytest.mark.parametrize("scheme", SCHEMES)

@@ -55,3 +55,18 @@ def test_imports_only_earlier_modules(name):
                              if isinstance(node, (ast.Import, ast.ImportFrom))))
     earlier = set(MODULE_ORDER[:MODULE_ORDER.index(name)])
     assert imported <= earlier, f"{name} imports {sorted(imported - earlier)}"
+
+
+def test_exports_are_the_names_init_binds():
+    """__all__ lists each public name __init__.py imports or assigns, once,
+    and each resolves on the package."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    bound = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    bound += [target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)]
+    public = [name for name in bound if not name.startswith("_")]
+    assert sorted(orbitcanon.__all__) == sorted(public)
+    assert len(set(orbitcanon.__all__)) == len(orbitcanon.__all__)
+    for name in orbitcanon.__all__:
+        getattr(orbitcanon, name)
