@@ -8,11 +8,21 @@ z2 = (c + 0.5) / W.
 
 A rotation by alpha turns the image content counter-clockwise about the
 square's center.  The canonical orientation is found from a smoothed,
-bilinearly interpolated model of the image: the model gradient is averaged
-over two circles around the center, and the image is rotated so that this
-mean gradient points along +z1 ("uphill is up").  Because the mean
-gradient rotates with the image, alpha(rotated by beta) = alpha - beta,
-which is what makes the composed map invariant.
+bilinearly interpolated model of the image: the model gradient of the
+raster blurred by a Gaussian of width sigma is averaged over two circles
+around the center, and the image is rotated so that this mean gradient
+points along +z1 ("uphill is up").  Because the mean gradient rotates with
+the image, alpha(rotated by beta) = alpha - beta, which is what makes the
+composed map invariant.
+
+Blur and model gradient are both linear, so mean_gradient takes the raw
+raster and reads it through one sparse map per (n, sigma), built once:
+the probes' weights pushed through the blur onto the raster's row and
+column differences.  gaussian_blur and SmoothImageModel compute the same
+mean gradient the long way and are kept as its reference.  gaussian_blur
+clamps its output into [0, 1] and the map does not; for rasters in
+[0, 1], which is every GrayImage and dataset, the clamp acts only at
+rounding.
 """
 
 from __future__ import annotations
@@ -92,13 +102,8 @@ def _chunks(count: int, n: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def gaussian_blur(img, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with edge replication of a raster (h, w) or stack (..., h, w).
-
-    Kernel radius is ceil(3 * sigma); taps are normalized to sum to 1, so
-    a constant image stays exactly flat, its value kept to rounding.  The
-    result is clamped into [0, 1].  sigma must be positive and finite.
-    """
+def _blur_taps(sigma: float) -> np.ndarray:
+    """The 2 R + 1 taps of gaussian_blur, R = ceil(3 sigma), normalized to sum to 1."""
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
     radius = int(math.ceil(3.0 * sigma))
@@ -106,7 +111,20 @@ def gaussian_blur(img, sigma: float) -> np.ndarray:
     # the floor keeps the taps [0, 1, 0] where 2 sigma^2 underflows (sigma < ~1.5e-162)
     taps = np.exp(-(offsets ** 2) / max(2.0 * sigma * sigma, np.finfo(float).tiny))
     taps /= taps.sum()
+    return taps
 
+
+def gaussian_blur(img, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur with edge replication of a raster (h, w) or stack (..., h, w).
+
+    Kernel radius is ceil(3 * sigma); taps are normalized to sum to 1, so
+    a constant image stays exactly flat, its value kept to rounding.  The
+    result is clamped into [0, 1].  sigma must be positive and finite.
+    canonicalize_images does not call it: mean_gradient folds the blur into
+    its weights.  It stays as the reference for that fold.
+    """
+    taps = _blur_taps(sigma)
+    radius = len(taps) // 2
     out = np.asarray(img, dtype=float)
     if out.ndim < 2 or 0 in out.shape[-2:]:
         raise ValueError(f"expected rasters (..., h, w) of at least one pixel, got {out.shape}")
@@ -191,44 +209,100 @@ class SmoothImageModel:
 
 
 @lru_cache(maxsize=None)
-def _gradient_map(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """mean_gradient of an n x n raster X as weights on its differences X[r + 1, c] - X[r, c]
-    (g1) and X[r, c + 1] - X[r, c] (g2) at the cells r n + c, ascending, that the probes read."""
+def _gradient_map(n: int, sigma: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """mean_gradient of an n x n raster X blurred by sigma as weights on the raw raster's
+    differences X[r + 1, c] - X[r, c] (g1) and X[r, c + 1] - X[r, c] (g2) at the cells r n + c,
+    ascending, whose weight is not zero."""
     if n < 2:
         raise ValueError("need at least a 2 x 2 raster for a gradient")
+    taps = _blur_taps(sigma)
     theta = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
-    model = SmoothImageModel(np.empty((n, n)))
+    model = SmoothImageModel(np.broadcast_to(0.0, (n, n)))
     row_f, col_f = model._fractional(np.concatenate(
         [np.stack([0.5 + r * np.cos(theta), 0.5 + r * np.sin(theta)], axis=-1)
          for r in CIRCLE_RADII]))
     (r0, tr, live_r), (c0, tc, live_c) = model._cell(row_f, n), model._cell(col_f, n)
-    at, maps = r0 * n + c0, []
-    # Row differences at (r0, c0 + 0 or 1), column ones at (r0 + 0 or 1, c0); all of one sign.
+    at = r0 * n + c0
+    # The probes read the blurred row differences at (r0, c0 + 0 or 1) and the column ones at
+    # (r0 + 0 or 1, c0), with weights all of one sign.  Their dense n x n array is left
+    # unnamed, so that each is freed as soon as it is folded.
+    maps = []
     for step, d, t in ((1, -n * live_r / len(r0), tc), (n, n * live_c / len(r0), tr)):
-        cells, where = np.unique(np.concatenate([at, at + step]), return_inverse=True)
-        maps.append((cells, np.bincount(where, np.concatenate([d * (1.0 - t), d * t]))))
+        weights = np.concatenate([d * (1.0 - t), d * t])
+        maps.append(_fold(np.bincount(np.concatenate([at, at + step]), weights,
+                                      minlength=n * n).reshape(n, n), taps, columns=step == n))
     return maps
 
 
-def mean_gradient(rasters) -> tuple[np.ndarray, np.ndarray]:
-    """Mean SmoothImageModel gradient (g1, g2) of blurred rasters (..., n, n)
-    over the two probe circles, one value of each per raster.
+def _fold(probed, taps, columns: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, weights) on a raw n x n raster's row differences, or column ones if columns,
+    of the weights probed puts on the blurred raster's, through the blur by taps.
 
-    Each circle contributes the mean of its CIRCLE_SAMPLES gradient
-    samples; the circles are then averaged with equal weight.  The small
-    circle reads orientation near the center, the large one near the
-    border, and both lie inside the square so rotation moves their probe
-    values with the image.  It is one contraction with weights cached per
-    size, so each raster of a stack gets its own mean, bit for bit.  The
-    canonical angle is atan2(g2, g1); canonicalize_images takes an image
-    with hypot(g1, g2) <= GRADIENT_THRESHOLD as having no orientation.
+    Along a difference's own axis, the difference of the edge-replicated blur is the
+    zero-padded blur of the raw differences: a tap past the edge reads two equal replicated
+    pixels.  Along the other axis the blur commutes with the difference.  So the weights
+    go through the adjoints of those two blurs, each in O(n^2 min(R, n)) for radius R."""
+    n = len(probed)
+    along = probed.T if columns else probed
+    folded = _edge_blur_adjoint(_zero_padded_blur(along[:-1], taps).T, taps).T
+    folded = folded.T if columns else folded
+    rows, cols = np.nonzero(folded)
+    return rows * n + cols, folded[rows, cols]
+
+
+def _zero_padded_blur(w, taps) -> np.ndarray:
+    """The blur by symmetric taps along axis 0 of w, reading zero past its ends; its own adjoint."""
+    size, radius = len(w), len(taps) // 2
+    out = np.zeros_like(w)
+    for d in range(-min(radius, size - 1), min(radius, size - 1) + 1):
+        out[max(0, d):size + min(0, d)] += taps[radius + d] * w[max(0, -d):size - max(0, d)]
+    return out
+
+
+def _edge_blur_adjoint(w, taps) -> np.ndarray:
+    """The adjoint of gaussian_blur's edge-replicated blur by symmetric taps along axis 0 of w.
+
+    An interior row c takes tap c - i of row i, as the zero-padded blur does; an edge row
+    takes every tap that clamps onto it, so row 0 takes sum(taps[:R + 1 - i]) of row i and
+    the last row the mirror image."""
+    radius, reach = len(taps) // 2, min(len(taps) // 2, len(w) - 1)
+    out = _zero_padded_blur(w, taps)
+    folded = np.cumsum(taps)[radius - np.arange(reach + 1)]
+    out[0] = np.einsum("i,i...->...", folded, w[:reach + 1])
+    out[-1] = np.einsum("i,i...->...", folded, w[::-1][:reach + 1])
+    return out
+
+
+def mean_gradient(rasters, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean SmoothImageModel gradient (g1, g2) of raw rasters (..., n, n) blurred
+    by gaussian_blur(rasters, sigma), over the two probe circles, one value of each
+    per raster.
+
+    Each circle contributes the mean of its CIRCLE_SAMPLES gradient samples;
+    the circles are then averaged with equal weight.  The small circle reads
+    orientation near the center, the large one near the border, and both lie
+    inside the square so rotation moves their probe values with the image.
+    Blur and gradient are both linear, so this is one contraction of the raw
+    raster's differences with weights cached per (n, sigma) (_gradient_map),
+    and each raster of a stack gets its own mean, bit for bit.  It equals
+    the blurred path to rounding, with one difference: gaussian_blur clamps
+    its output into [0, 1] and the map does not.  For rasters in [0, 1] the
+    clamp acts only at rounding.  A library caller's raster with values
+    outside [0, 1] gets the gradient of the unclamped blur, linear in the
+    raster (a X + b gives a times the gradient of X, to rounding), where the
+    blurred path would read the clipped blur, flattened wherever it leaves
+    [0, 1].  Canonical rasters are still clamped by rotate_image.  A raster
+    constant along an axis gets exactly 0.0 in that component, since its
+    differences are exact zeros.  The canonical angle is atan2(g2, g1);
+    canonicalize_images takes an image with hypot(g1, g2) <=
+    GRADIENT_THRESHOLD as having no orientation.
     """
     image = np.asarray(rasters, dtype=float)
     n = _require_rasters(image)
     flat = image.reshape(image.shape[:-2] + (-1,))
     # einsum (numpy's own summation, not BLAS) gives a raster the same bits in a stack as alone.
     g1, g2 = (np.einsum("j,...j->...", weights, flat.take(cells + step, -1) - flat.take(cells, -1))
-              for (cells, weights), step in zip(_gradient_map(n), (n, 1)))
+              for (cells, weights), step in zip(_gradient_map(n, sigma), (n, 1)))
     return g1, g2
 
 
@@ -342,10 +416,11 @@ def canonicalize_image(img, scheme: str = "bilinear",
                        sigma: float = 1.0) -> CanonResult:
     """Rotate a raster (n, n) into its canonical orientation.
 
-    Estimates the orientation angle from the blurred model's mean gradient
-    and resamples the original (unblurred) image by that angle; the blur
-    feeds only the angle estimate.  Degenerate images (mean gradient at or
-    below GRADIENT_THRESHOLD) are returned unrotated with the flag set.
+    Estimates the orientation angle from the mean gradient of the model of
+    the raster blurred by sigma, mean_gradient(img, sigma), and resamples
+    the original (unblurred) image by that angle; the blur feeds only the
+    angle estimate.  Degenerate images (mean gradient at or below
+    GRADIENT_THRESHOLD) are returned unrotated with the flag set.
     The element of the result is the applied angle alpha; its energy is
     the mean gradient magnitude.  An unknown scheme raises ValueError for
     every image, degenerate or not.  This is canonicalize_images on a
@@ -362,13 +437,15 @@ def canonicalize_images(stack, scheme: str = "bilinear",
 
     Returns one CanonResult whose fields carry the leading axis: canonical
     rasters, angles, degenerate flags and mean gradient magnitudes.  With
-    (g1, g2) the mean_gradient of the blurred raster, the energy is
-    hypot(g1, g2) and the angle atan2(g2, g1), in (-pi, pi]: rotating the
-    content counter-clockwise by it turns the mean gradient onto +z1.  A
-    raster whose energy is at or below GRADIENT_THRESHOLD has no
-    orientation; it gets angle 0.0 and the degenerate flag, and is returned
-    unrotated.  The stack goes CHUNK_PIXELS at a time; a non-finite raster
-    raises ValueError.
+    (g1, g2) = mean_gradient(raster, sigma), the mean model gradient of the
+    raw raster blurred by sigma (unclamped: see mean_gradient for values
+    outside [0, 1]), the energy is hypot(g1, g2) and the angle atan2(g2, g1),
+    in (-pi, pi]: rotating the content counter-clockwise by it turns the
+    mean gradient onto +z1.  A raster whose energy is at or below
+    GRADIENT_THRESHOLD has no orientation; it gets angle 0.0 and the
+    degenerate flag, and is returned unrotated.  The stack goes
+    CHUNK_PIXELS at a time; a non-finite raster, or a sigma that is not
+    positive and finite, raises ValueError.
     """
     p = np.asarray(stack, dtype=float)
     n = _require_rasters(p)
@@ -377,7 +454,7 @@ def canonicalize_images(stack, scheme: str = "bilinear",
         raise ValueError(f"expected a stack (N, n, n) of rasters, got shape {p.shape}")
     g1, g2 = np.empty(len(p)), np.empty(len(p))
     for s in _chunks(len(p), n):
-        g1[s], g2[s] = mean_gradient(gaussian_blur(p[s], sigma))
+        g1[s], g2[s] = mean_gradient(p[s], sigma)
     energy = np.hypot(g1, g2)
     degenerate = energy <= GRADIENT_THRESHOLD
     alpha = np.where(degenerate, 0.0, np.vectorize(math.atan2, otypes=[float])(g2, g1))

@@ -14,7 +14,7 @@ from orbitcanon.cloud import (
     canonicalize_similarity,
     eig3_sym,
 )
-from orbitcanon.cloud import _point_norms
+from orbitcanon.cloud import _centroid, _point_norms
 from orbitcanon.groups import CanonResult, equivariant_canon
 
 
@@ -138,6 +138,21 @@ class TestCenterCloud:
                                        rtol=0.0, atol=1e-13 * max(1.0, np.abs(t).max()))
             np.testing.assert_allclose(res.canonical[1], res.canonical[0],
                                        atol=1e-10 * max(1.0, np.abs(t).max()))
+
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 64, 257])
+    def test_centroid_is_the_mean_to_the_bit(self, points):
+        """The centroid is X.mean(axis=1), bytes and all, for stacks spread over
+        scales of 10^+-5 and offsets up to 1e8, and so is the frame's centroid
+        of a stack the canonicalizer accepts."""
+        rng = np.random.default_rng(205 + points)
+        X = (rng.normal(size=(40, points, 3)) * 10.0 ** rng.uniform(-5, 5, (40, 1, 1))
+             + rng.uniform(-1e8, 1e8, (40, 1, 3)))
+        assert _centroid(X).tobytes() == X.mean(axis=1).tobytes()
+        if points >= 3:
+            e = np.frexp(np.abs(X).max(axis=(1, 2)))[1][:, None]
+            want = np.ldexp(np.ldexp(X, -e[:, :, None]).mean(axis=1), e)
+            assert canonicalize_clouds(X).element.centroid.tobytes() == want.tobytes()
 
 
 class TestNormalizeScale:

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -236,17 +237,17 @@ class TestMeanGradient:
 
     def test_constant_image_degenerate(self):
         img = GrayImage(np.full((16, 16), 0.4))
-        assert _bits(mean_gradient(gaussian_blur(img, 1.0))) == _bits([0.0, 0.0])
+        assert _bits(mean_gradient(img, 1.0)) == _bits([0.0, 0.0])
         res = canonicalize_image(img)
         assert res.element == 0.0 and res.degenerate and res.energy == 0.0
 
     def test_vertical_ramp(self):
-        g1, g2 = mean_gradient(gaussian_blur(_ramp_z1(32), 1.0))
+        g1, g2 = mean_gradient(_ramp_z1(32), 1.0)
         np.testing.assert_allclose([g1, g2], [1.0, 0.0], atol=1e-3)
         np.testing.assert_allclose(np.hypot(g1, g2), 1.0, atol=1e-3)
 
     def test_horizontal_ramp(self):
-        g = mean_gradient(gaussian_blur(_ramp_z2(32), 1.0))
+        g = mean_gradient(_ramp_z2(32), 1.0)
         np.testing.assert_allclose(g, [0.0, 1.0], atol=1e-3)
 
     def test_rotation_commutation(self):
@@ -258,10 +259,10 @@ class TestMeanGradient:
         """
         data = gen_synthetic_images(seed=31, n_per_class=1, size=64)
         for img, _ in data.samples[:3]:
-            g1, g2 = mean_gradient(gaussian_blur(img, 1.0))
+            g1, g2 = mean_gradient(img, 1.0)
             for beta in (math.radians(20.0), math.radians(125.0)):
                 rotated = rotate_image(img, beta, "bilinear")
-                got1, got2 = mean_gradient(gaussian_blur(rotated, 1.0))
+                got1, got2 = mean_gradient(rotated, 1.0)
                 want1 = g1 * math.cos(beta) + g2 * math.sin(beta)
                 want2 = g2 * math.cos(beta) - g1 * math.sin(beta)
                 err = np.hypot(got1 - want1, got2 - want2)
@@ -269,7 +270,7 @@ class TestMeanGradient:
 
 
 class TestCanonicalAngle:
-    """The angle atan2(g2, g1) of the blurred raster's mean gradient, and the
+    """The angle atan2(g2, g1) of the raster's mean gradient, and the
     degeneracy rule energy <= GRADIENT_THRESHOLD, through canonicalize_image(s)."""
 
     def test_up_is_zero(self):
@@ -285,7 +286,7 @@ class TestCanonicalAngle:
         upward mean gradient."""
         img = _ramp_z2(32)
         turned = rotate_image(img, canonicalize_image(img).element, "bilinear")
-        np.testing.assert_allclose(mean_gradient(gaussian_blur(turned, 1.0)), [1.0, 0.0],
+        np.testing.assert_allclose(mean_gradient(turned, 1.0), [1.0, 0.0],
                                    atol=0.02)
 
     def test_down_maps_to_pi(self):
@@ -468,9 +469,13 @@ class TestCanonicalizeImage:
             assert abs(resid) <= math.radians(2.0)
 
     def test_energy_is_gradient_magnitude(self):
+        """Exactly the magnitude of mean_gradient, and that of the blurred
+        raster's model gradient to the energy bound."""
         img = _ramp_z1(32)
         res = canonicalize_image(img)
-        assert res.energy == np.hypot(*mean_gradient(gaussian_blur(img, 1.0)))
+        assert res.energy == np.hypot(*mean_gradient(img, 1.0))
+        energy = _reference_mean_gradient(gaussian_blur(img, 1.0))[2]
+        assert abs(res.energy - energy) <= ENERGY_RTOL * energy
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -501,28 +506,37 @@ class TestRotationMapping:
 
 
 # ---------------------------------------------------------------------------
-# The one-raster path: edge padding by np.pad, the model gradient point by
-# point, circle by circle, and a resampler gathering with 2-D indices clamped
-# tap by tap.  The stacked blur and resampler reproduce it bit for bit.  The
-# program's mean gradient sums weighted differences cell by cell instead of
-# probe by probe, so it agrees with the reference to the bounds below.  The
-# reference is the less accurate of the two: against exact rational arithmetic
-# on the mean-gradient tests' data it errs by up to 1.69e-14 relative to
-# max(|g|, 1), the program by 2.6e-15 (test_mean_gradient_is_exact_to_rounding),
-# so their difference, measured at 1.72e-14, stays under the sum, 2e-14.  On the
-# canonicalization tests' data angles differ by at most 3.6e-15 rad and
-# energies by 4.7e-15 relative.
+# The one-raster path: edge padding by np.pad, the model gradient of the
+# blurred raster point by point, circle by circle, and a resampler gathering
+# with 2-D indices clamped tap by tap.  The stacked blur and resampler
+# reproduce it bit for bit.  The program's mean gradient folds the blur into
+# weights on the raw raster's differences and sums them cell by cell, so it
+# agrees with the reference only to rounding.  Each bound below is the sum of
+# the two paths' largest errors against exact rational arithmetic
+# (_exact_mean_gradient) on the data of the tests that use it, so the
+# difference of the paths stays under it by the triangle inequality:
+# - MEAN_GRADIENT_RTOL, on test_mean_gradient_of_stack_is_reference_per_raster's
+#   rasters: the reference errs by up to 3.381e-14 of max(|g|, 1) and the
+#   program by 3.934e-15 (test_mean_gradient_is_exact_to_rounding), 3.77e-14;
+# - ANGLE_ATOL and ENERGY_RTOL, on test_matches_one_raster_path's stacks and
+#   the z1 ramp: angles err by up to 5.107e-15 rad (reference) and 5.218e-15
+#   (program), 1.033e-14; energies by 1.605e-14 and 9.984e-15 relative, 2.60e-14;
+# - LARGE_SIGMA_ANGLE_ATOL and LARGE_SIGMA_ENERGY_RTOL, on
+#   test_radius_beyond_the_raster's rasters: the reference's long sums err by
+#   up to 2.252e-12 rad and 1.181e-12 relative, the program by 7.550e-15 and
+#   7.348e-15, 2.260e-12 and 1.188e-12.
+# Each sum is rounded up at its second digit.
 
-MEAN_GRADIENT_RTOL = 2e-14        # relative to max(|g|, 1)
-ANGLE_ATOL = 7.1e-15              # radians
-ENERGY_RTOL = 1.6e-14             # relative
+MEAN_GRADIENT_RTOL = 3.8e-14      # relative to max(|g|, 1)
+ANGLE_ATOL = 1.1e-14              # radians
+ENERGY_RTOL = 2.7e-14             # relative
+LARGE_SIGMA_ANGLE_ATOL = 2.3e-12  # radians
+LARGE_SIGMA_ENERGY_RTOL = 1.2e-12  # relative
 
 
 def _reference_blur(img, sigma):
-    radius = math.ceil(3.0 * sigma)
-    taps = np.exp(-(np.arange(-radius, radius + 1, dtype=float) ** 2)
-                  / (2.0 * sigma * sigma))
-    taps /= taps.sum()
+    taps = _gauss_taps(sigma)
+    radius = len(taps) // 2
     out = np.asarray(img, dtype=float)
     for axis in (0, 1):
         pad = [(0, 0), (0, 0)]
@@ -536,30 +550,57 @@ def _reference_blur(img, sigma):
     return np.clip(out, 0.0, 1.0)
 
 
+def _probe_points():
+    theta = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
+    return [np.stack([0.5 + r * np.cos(theta), 0.5 + r * np.sin(theta)], axis=-1)
+            for r in CIRCLE_RADII]
+
+
 def _reference_mean_gradient(blurred):
     model = SmoothImageModel(blurred)
-    theta = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
-    per_circle = [model.gradient(np.stack([0.5 + r * np.cos(theta),
-                                           0.5 + r * np.sin(theta)], axis=-1)).mean(axis=0)
-                  for r in CIRCLE_RADII]
+    per_circle = [model.gradient(points).mean(axis=0) for points in _probe_points()]
     g1, g2 = np.mean(per_circle, axis=0)
     return float(g1), float(g2), float(np.hypot(g1, g2))
 
 
-def _exact_mean_gradient(blurred):
-    """The model gradient's mean over the probes in exact rational arithmetic,
-    rounded once; the probes' cells and fractions are the model's own."""
-    n = blurred.shape[0]
-    theta = 2.0 * np.pi * np.arange(CIRCLE_SAMPLES) / CIRCLE_SAMPLES
-    model = SmoothImageModel(blurred)
-    v00, v01, v10, v11, tr, tc, live_r, live_c = model._gather(np.concatenate(
-        [np.stack([0.5 + r * np.cos(theta), 0.5 + r * np.sin(theta)], axis=-1)
-         for r in CIRCLE_RADII]))
+@lru_cache(maxsize=None)
+def _exact_blur(n, sigma):
+    """The edge-replicated blur of the reference as an exact n x n matrix: tap k
+    of row i lands on the pixel clip(i + k - R)."""
+    taps = [Fraction(t) for t in _gauss_taps(sigma).tolist()]
+    radius = len(taps) // 2
+    blur = np.full((n, n), Fraction(0), dtype=object)
+    for i in range(n):
+        for k, t in enumerate(taps):
+            blur[i, min(max(i + k - radius, 0), n - 1)] += t
+    return blur
+
+
+def _exact_mean_gradient(img, sigma):
+    """mean_gradient(img, sigma) in exact rational arithmetic, rounded once: the
+    edge-replicated blur over the float taps of the reference blur, unclamped,
+    then the model gradient at the probes' own cells and fractions, whose
+    weights are summed per cell before they meet the pixels."""
+    p = np.asarray(img, dtype=float)
+    n = p.shape[0]
+    blur = _exact_blur(n, sigma)
+    y = blur @ np.array([[Fraction(v) for v in row] for row in p.tolist()], dtype=object) @ blur.T
+    model = SmoothImageModel(p)
+    row_f, col_f = model._fractional(np.concatenate(_probe_points()))
+    (r0, tr, live_r), (c0, tc, live_c) = model._cell(row_f, n), model._cell(col_f, n)
+    cells = {}
+    for r, c, s, t, lr, lc in zip(r0.tolist(), c0.tolist(), *(
+            map(Fraction, x.tolist()) for x in (tr, tc, live_r, live_c))):
+        w = cells.setdefault((r, c), [0, 0, 0, 0])
+        w[0] += lr * (1 - t)
+        w[1] += lr * t
+        w[2] += lc * (1 - s)
+        w[3] += lc * s
     g1 = g2 = Fraction(0)
-    for a, b, c, d, s, t, lr, lc in zip(*(map(Fraction, x.tolist()) for x in
-                                          (v00, v01, v10, v11, tr, tc, live_r, live_c))):
-        g1 -= n * lr * ((c - a) * (1 - t) + (d - b) * t)
-        g2 += n * lc * ((b - a) * (1 - s) + (d - c) * s)
+    for (r, c), (w0, w1, w2, w3) in cells.items():
+        v00, v01, v10, v11 = y[r, c], y[r, c + 1], y[r + 1, c], y[r + 1, c + 1]
+        g1 -= n * ((v10 - v00) * w0 + (v11 - v01) * w1)
+        g2 += n * ((v01 - v00) * w2 + (v11 - v10) * w3)
     return float(g1 / len(tr)), float(g2 / len(tr))
 
 
@@ -622,7 +663,8 @@ def _test_stack(n, seed, flat_at=None):
 
 
 class TestStackedImagePath:
-    """gaussian_blur, mean_gradient and rotate_image over a leading axis."""
+    """gaussian_blur, mean_gradient and rotate_image over a leading axis, and the
+    blur folded into mean_gradient against the blurred and the exact path."""
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
     def test_blur_of_stack_is_reference_per_raster(self, sigma):
@@ -633,35 +675,83 @@ class TestStackedImagePath:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, 17, 32, 48])
     def test_mean_gradient_of_stack_is_reference_per_raster(self, n):
-        """Small rasters clamp probes (live masks off); the flat raster's mean
-        gradient is exactly zero, as is g1 of the raster with equal rows."""
+        """At three blur widths; small rasters clamp probes (live masks off);
+        the flat raster's mean gradient is exactly zero, as is g1 of the
+        raster with equal rows."""
         rng = np.random.default_rng(321 + n)
         stack = rng.random((6, n, n))
         stack[1] = 0.5
         stack[2, :, :] = rng.random(n)[None, :]
-        g1, g2 = mean_gradient(stack)
-        assert g1.shape == g2.shape == (6,)
-        assert _bits([g1[1], g2[1], g1[2]]) == _bits([0.0] * 3)
-        for i, img in enumerate(stack):
-            want = _reference_mean_gradient(img)
-            got = [g1[i], g2[i], np.hypot(g1[i], g2[i])]
-            np.testing.assert_allclose(got, want, rtol=0,
-                                       atol=MEAN_GRADIENT_RTOL * max(want[2], 1.0))
-            assert _bits(mean_gradient(img)) == _bits(got[:2])
+        for sigma in (0.5, 1.0, 2.5):
+            g1, g2 = mean_gradient(stack, sigma)
+            assert g1.shape == g2.shape == (6,)
+            assert _bits([g1[1], g2[1], g1[2]]) == _bits([0.0] * 3)
+            for i, img in enumerate(stack):
+                want = _reference_mean_gradient(_reference_blur(img, sigma))
+                got = [g1[i], g2[i], np.hypot(g1[i], g2[i])]
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=MEAN_GRADIENT_RTOL * max(want[2], 1.0))
+                assert _bits(mean_gradient(img, sigma)) == _bits(got[:2])
 
-    @pytest.mark.parametrize("n", [2, 7, 16, 17])
+    @pytest.mark.parametrize("n", [2, 7, 16, 17, 32])
     def test_mean_gradient_is_exact_to_rounding(self, n):
-        """On the data above, where the reference errs most, the program's mean
-        gradient is within 4e-15 of max(|g|, 1) of exact arithmetic (measured
-        2.6e-15, at n = 17)."""
+        """On the data above, at three blur widths, the program's mean gradient
+        is within 4e-15 of max(|g|, 1) of exact arithmetic (measured 3.934e-15,
+        at n = 32 and sigma = 0.5)."""
         rng = np.random.default_rng(321 + n)
         stack = rng.random((6, n, n))
         stack[2, :, :] = rng.random(n)[None, :]
-        got = np.transpose(mean_gradient(stack[[0, 2]]))
-        for i, img in enumerate(stack[[0, 2]]):
-            g1, g2 = _exact_mean_gradient(img)
-            np.testing.assert_allclose(got[i], [g1, g2], rtol=0,
-                                       atol=4e-15 * max(math.hypot(g1, g2), 1.0))
+        for sigma in (0.5, 1.0, 2.5):
+            got = np.transpose(mean_gradient(stack[[0, 2]], sigma))
+            for i, img in enumerate(stack[[0, 2]]):
+                g1, g2 = _exact_mean_gradient(img, sigma)
+                np.testing.assert_allclose(got[i], [g1, g2], rtol=0,
+                                           atol=4e-15 * max(math.hypot(g1, g2), 1.0))
+
+    @pytest.mark.parametrize("n, sigma", [(16, 40.0), (16, 1e3), (5, 1e3), (2, 40.0)])
+    def test_radius_beyond_the_raster(self, n, sigma):
+        """Blur radii of 120 and 3000 pixels: every tap past the raster folds
+        onto an edge.  The program is within 7.6e-15 rad and 7.4e-15 relative
+        of exact arithmetic (measured 7.550e-15 and 7.348e-15), and of the
+        blurred path to the larger bounds its long sums need."""
+        for img in np.random.default_rng(390 + n).random((3, n, n)):
+            res = canonicalize_images(img[None], "bilinear", sigma)
+            g1, g2 = _exact_mean_gradient(img, sigma)
+            energy = math.hypot(g1, g2)
+            assert abs(_wrap_angle(res.element[0] - math.atan2(g2, g1))) <= 7.6e-15
+            assert abs(res.energy[0] - energy) <= 7.4e-15 * energy
+            _, alpha, degenerate, energy = _reference_canonicalize(img, "bilinear", sigma)
+            assert not degenerate and not res.degenerate[0]
+            assert abs(_wrap_angle(res.element[0] - alpha)) <= LARGE_SIGMA_ANGLE_ATOL
+            assert abs(res.energy[0] - energy) <= LARGE_SIGMA_ENERGY_RTOL * energy
+
+    @pytest.mark.parametrize("sigma", [1e-200, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 48])
+    def test_exact_zeros(self, n, sigma):
+        """Differences of equal pixels are exact zeros, so a flat raster has the
+        mean gradient (0.0, 0.0) and a ramp along one axis exactly 0.0 across
+        it: the angles of the z1 and z2 ramps are exactly 0 and +-pi/2."""
+        up, right = _ramp_z1(n).pixels, _ramp_z2(n).pixels
+        stack = np.stack([np.full((n, n), 0.3), up, right, right[:, ::-1]])
+        g1, g2 = mean_gradient(stack, sigma)
+        assert _bits([g1[0], g2[0], g2[1], g1[2], g1[3]]) == _bits([0.0] * 5)
+        res = canonicalize_images(stack, "bilinear", sigma)
+        assert res.degenerate.tolist() == [True, False, False, False]
+        assert _bits(res.element) == _bits([0.0, 0.0, np.pi / 2, -np.pi / 2])
+
+    def test_one_large_raster_working_set(self):
+        """With its map cached, the mean gradient of one 1024 x 1024 raster reads
+        only the probed differences: it peaks below one raster size, where
+        blurring the raster first held four."""
+        img = np.random.default_rng(381).random((1024, 1024))
+        mean_gradient(img, 1.0)
+        tracemalloc.start()
+        try:
+            mean_gradient(img, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < img.nbytes
 
     def test_canonical_angle_of_stack(self):
         """Up, right and down ramps and a faint right ramp (energy about 5e-9)."""

@@ -7,6 +7,7 @@ is exempt.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import orbitcanon
 
 MODULE_ORDER = ("groups", "vectors", "cloud", "image", "audit", "formats", "cli")
 PACKAGE = Path(orbitcanon.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def _tree(name: str) -> ast.Module:
@@ -70,3 +72,16 @@ def test_exports_are_the_names_init_binds():
     assert len(set(orbitcanon.__all__)) == len(orbitcanon.__all__)
     for name in orbitcanon.__all__:
         getattr(orbitcanon, name)
+
+
+def test_benchmark_traces_functions_that_exist():
+    """Every (module, attribute) the benchmark's tracer wraps names a function
+    of orbitcanon: for a missing one the traced run drops that layer's metrics.
+    spans.py is read and parsed, not imported."""
+    tree = ast.parse(SPANS.read_text(), filename=str(SPANS))
+    functions = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["_FUNCTIONS"])
+    assert functions
+    for module, attribute, _ in functions:
+        assert callable(getattr(importlib.import_module(f"orbitcanon.{module}"), attribute))
