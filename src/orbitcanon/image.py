@@ -81,13 +81,18 @@ class GrayImage:
         return self.pixels.shape[1]
 
 
-def _require_rasters(pixels: np.ndarray) -> int:
+def _square_side(pixels: np.ndarray) -> int:
     if pixels.ndim < 2 or pixels.shape[-1] != pixels.shape[-2]:
         raise ValueError("rotation needs a square raster, got "
                          + " x ".join(str(d) for d in pixels.shape[-2:]))
+    return pixels.shape[-1]
+
+
+def _require_rasters(pixels: np.ndarray) -> int:
+    n = _square_side(pixels)
     if not np.all(np.isfinite(pixels)):
         raise ValueError("raster contains non-finite values")
-    return pixels.shape[-1]
+    return n
 
 
 def _check_scheme(scheme: str) -> str:
@@ -96,10 +101,18 @@ def _check_scheme(scheme: str) -> str:
     return scheme
 
 
-def _chunks(count: int, n: int) -> list[slice]:
-    """Slices of a stack of count n x n rasters, CHUNK_PIXELS at a time."""
-    step = max(1, CHUNK_PIXELS // max(1, n * n))
+def _chunks(count: int, size: int) -> list[slice]:
+    """Slices of a stack of count items of size floats each, CHUNK_PIXELS floats
+    (at least one item) at a time."""
+    step = max(1, CHUNK_PIXELS // max(1, size))
     return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """arrays made read-only, for the caches: a write into one would reach every later call."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _blur_taps(sigma: float) -> np.ndarray:
@@ -209,10 +222,12 @@ class SmoothImageModel:
 
 
 @lru_cache(maxsize=None)
-def _gradient_map(n: int, sigma: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _gradient_map(n: int, sigma: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """mean_gradient of an n x n raster X blurred by sigma as weights on the raw raster's
-    differences X[r + 1, c] - X[r, c] (g1) and X[r, c + 1] - X[r, c] (g2) at the cells r n + c,
-    ascending, whose weight is not zero."""
+    differences X[r + 1, c] - X[r, c] (g1) and X[r, c + 1] - X[r, c] (g2): one read-only
+    (cells, high, weights) per component, over the flat cells r n + c, ascending, whose
+    weight is not zero, and the cells high = cells + n (g1) or cells + 1 (g2) they are
+    differenced with."""
     if n < 2:
         raise ValueError("need at least a 2 x 2 raster for a gradient")
     taps = _blur_taps(sigma)
@@ -229,9 +244,11 @@ def _gradient_map(n: int, sigma: float) -> list[tuple[np.ndarray, np.ndarray]]:
     maps = []
     for step, d, t in ((1, -n * live_r / len(r0), tc), (n, n * live_c / len(r0), tr)):
         weights = np.concatenate([d * (1.0 - t), d * t])
-        maps.append(_fold(np.bincount(np.concatenate([at, at + step]), weights,
-                                      minlength=n * n).reshape(n, n), taps, columns=step == n))
-    return maps
+        columns = step == n
+        cells, folded = _fold(np.bincount(np.concatenate([at, at + step]), weights,
+                                          minlength=n * n).reshape(n, n), taps, columns)
+        maps.append(_frozen(cells, cells + (1 if columns else n), folded))
+    return tuple(maps)
 
 
 def _fold(probed, taps, columns: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -301,8 +318,8 @@ def mean_gradient(rasters, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     n = _require_rasters(image)
     flat = image.reshape(image.shape[:-2] + (-1,))
     # einsum (numpy's own summation, not BLAS) gives a raster the same bits in a stack as alone.
-    g1, g2 = (np.einsum("j,...j->...", weights, flat.take(cells + step, -1) - flat.take(cells, -1))
-              for (cells, weights), step in zip(_gradient_map(n, sigma), (n, 1)))
+    g1, g2 = (np.einsum("j,...j->...", weights, flat.take(high, -1) - flat.take(cells, -1))
+              for cells, high, weights in _gradient_map(n, sigma))
     return g1, g2
 
 
@@ -319,8 +336,11 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     stencils reaching past the raster clamp to the border row/column.
     Output values are clamped to [0, 1], and alpha = 0 reproduces a
     raster in [0, 1] bit for bit under every scheme.  The geometry of an
-    angle (_rotation_taps) is built once per call for a shared angle and
-    once per chunk for one angle per raster; nothing is cached across calls.
+    angle (_rotation_taps) and the index of each pixel's first tap in the
+    chunk are built once per call for a shared angle, and once per chunk
+    for one angle per raster.
+    Only constants of the raster size are cached across calls, read-only:
+    the centred offset grids and the edge-pad index.
     """
     _check_scheme(scheme)
     p = np.asarray(img, dtype=float)
@@ -335,17 +355,45 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     stack = p.reshape(-1, n, n)
     out = np.empty(stack.shape)
     shared = None if alpha.ndim else _rotation_taps(n, ca, sa, scheme)
-    for s in _chunks(len(stack), n):
-        out[s] = _resample(stack[s], shared or _rotation_taps(n, ca[s], sa[s], scheme))
+    at = None
+    for s in _chunks(len(stack), n * n):
+        chunk = stack[s]
+        if shared is None:
+            # A temporary table, so that no chunk's table outlives its resampling.
+            _resample(chunk, _rotation_taps(n, ca[s], sa[s], scheme), out[s])
+        else:
+            # The first chunk is the longest; a shorter last one reads the index of its
+            # leading rasters.
+            if at is None:
+                at = _tap_index(shared, len(chunk))
+            _resample(chunk, shared, out[s], at[:len(chunk)])
     return out.reshape(p.shape)
 
 
+@lru_cache(maxsize=None)
+def _offset_grids(n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(m, u, v) of an n x n raster: its center index m = (n - 1) / 2 and the signed
+    column offsets u (1, n) and row offsets v (n, 1) from it, read-only."""
+    m = (n - 1) / 2.0
+    idx = np.arange(n, dtype=float)
+    return (m, *_frozen(idx[None, :] - m, idx[:, None] - m))
+
+
+@lru_cache(maxsize=None)
+def _edge_index(n: int, pad: int) -> np.ndarray:
+    """Flat index into an n x n raster of each pixel of it edge-padded by pad, read-only."""
+    edge = np.clip(np.arange(-pad, n + pad), 0, n - 1)
+    return _frozen((edge[:, None] * n + edge).ravel())[0]
+
+
 def _rotation_taps(n: int, ca, sa, scheme: str):
-    """(pad, inside, first, wr, wc) for n x n rasters and angles of cosine ca and sine sa,
+    """(pad, outside, first, wr, wc) for n x n rasters and angles of cosine ca and sine sa,
     (L or 1, 1, 1): first indexes each output pixel's first tap in a raster edge-padded by
-    pad (0 nearest, 1 bilinear, 2 bicubic), and tap (i, j) lies i rows and j columns on, of
-    weight wr[i] * wc[j].  Floors clamp to [-1, n - 1], which moves only masked pixels:
-    inside the square every tap reads what clamping the tap itself would read."""
+    pad (0 nearest, 1 bilinear, 2 bicubic), tap (i, j) lies i rows and j columns on, of
+    weight wr[i] * wc[j], and outside marks the pixels whose source lies outside the
+    square.  Floors clamp to [-1, n - 1], which moves only those pixels: inside the square
+    every tap reads what clamping the tap itself would read.  The offset grids come from a
+    cache per n; fractions, clamps and the index are computed in place."""
     # Inverse map in index space.  With center m = (n - 1) / 2 the source
     # index of output pixel (r, c) is
     #   col_f = m + cos(a) (c - m) + sin(a) (m - r)
@@ -353,47 +401,77 @@ def _rotation_taps(n: int, ca, sa, scheme: str):
     # (derived from the unit-square rotation; z1 runs against rows).  At
     # alpha = 0 this is exactly (r, c) in floating point, which is what
     # makes the zero rotation the bit-exact identity for every scheme.
-    m = (n - 1) / 2.0
-    idx = np.arange(n, dtype=float)
-    u = idx[None, :] - m                 # signed column offset
-    v = idx[:, None] - m                 # signed row offset
+    m, u, v = _offset_grids(n)
     col_f = m + ca * u - sa * v
     row_f = m + sa * u + ca * v
 
     # Source position inside the unit square <=> index within [-1/2, n-1/2].
-    inside = ((col_f >= -0.5) & (col_f <= n - 0.5)
-              & (row_f >= -0.5) & (row_f <= n - 0.5))
+    outside = ((col_f < -0.5) | (col_f > n - 0.5)
+               | (row_f < -0.5) | (row_f > n - 0.5))
     if scheme == "nearest":
-        c, r = (np.clip(np.floor(f + 0.5), 0, n - 1).astype(int) for f in (col_f, row_f))
-        return 0, inside, r * n + c, (), ()
+        col_f += 0.5
+        row_f += 0.5
+        c, r = (_clamped_floor(f, 0, n - 1) for f in (col_f, row_f))
+        r *= n
+        r += c
+        return 0, outside, r.astype(np.intp), (), ()
     c0, r0 = np.floor(col_f), np.floor(row_f)
-    tc, tr = col_f - c0, row_f - r0
+    tc, tr = col_f, row_f
+    tc -= c0
+    tr -= r0
     if scheme == "bilinear":
         pad, wr, wc = 1, (1.0 - tr, tr), (1.0 - tc, tc)
     else:
         pad, wr, wc = 2, _catmull_rom_weights(tr), _catmull_rom_weights(tc)
     # The first tap sits at offset 0 (bilinear) or -1 (bicubic): padded index floor + 1.
-    first = (np.clip(r0, -1, n - 1) + 1) * (n + 2 * pad) + np.clip(c0, -1, n - 1) + 1
-    return pad, inside, first.astype(int), wr, wc
+    # Every value is an integer far inside float precision, so the order of operations is free.
+    first = _clamped_floor(r0, -1, n - 1)
+    first += 1
+    first *= n + 2 * pad
+    first += _clamped_floor(c0, -1, n - 1)
+    first += 1
+    return pad, outside, first.astype(np.intp), wr, wc
 
 
-def _resample(p, taps) -> np.ndarray:
-    """rotate_image of p (L, n, n) by a table of _rotation_taps: one gather per tap at
-    a fixed offset into the edge-padded chunk, summed in row-major tap order."""
-    pad, inside, first, wr, wc = taps
+def _clamped_floor(f: np.ndarray, low: int, high: int) -> np.ndarray:
+    """floor(f) clamped to [low, high], in place in f."""
+    np.floor(f, out=f)
+    np.maximum(f, low, out=f)
+    return np.minimum(f, high, out=f)
+
+
+def _tap_index(taps, count: int) -> np.ndarray:
+    """Where each output pixel's first tap sits in a chunk of count rasters edge-padded
+    for a table of _rotation_taps, laid end to end."""
+    pad, _, first, _, _ = taps
+    side = first.shape[-1] + 2 * pad
+    return np.arange(count)[:, None, None] * (side * side) + first
+
+
+def _resample(p, taps, out, at=None) -> None:
+    """rotate_image of p (L, n, n) by a table of _rotation_taps into out (L, n, n): one
+    gather per tap at a fixed offset from at, the chunk's _tap_index (built here if not
+    given), into one reused buffer, summed in row-major tap order."""
+    pad, outside, _, wr, wc = taps
     n, side = p.shape[-1], p.shape[-1] + 2 * pad
-    edge = np.clip(np.arange(-pad, n + pad), 0, n - 1)
-    padded = p.reshape(len(p), -1).take((edge[:, None] * n + edge).ravel(), axis=1) if pad else p
-    src = padded.ravel()
-    at = np.arange(len(p))[:, None, None] * (side * side) + first
-    out = np.zeros(at.shape) if pad else src.take(at)
-    for i, w_r in enumerate(wr):
-        for j, w_c in enumerate(wc):
-            # (w_r * w_c) * value, as one product, in place: multiplication commutes.
-            value = src[i * side + j:].take(at)
-            value *= w_r * w_c
-            out += value
-    return np.clip(np.where(inside, out, 0.0), 0.0, 1.0)
+    at = _tap_index(taps, len(p)) if at is None else at
+    src = (p.reshape(len(p), -1).take(_edge_index(n, pad), axis=1) if pad else p).ravel()
+    # Every index is in range, as the floors are clamped to [-1, n - 1] and the chunk is
+    # padded by the stencil's reach.  Any mode but the default "raise" lets take write
+    # into its out= directly, where "raise" first gathers into a copy.
+    if not pad:
+        src.take(at, out=out, mode="wrap")
+    else:
+        out.fill(0.0)
+        value = np.empty_like(out)
+        for i, w_r in enumerate(wr):
+            for j, w_c in enumerate(wc):
+                # (w_r * w_c) * value, as one product, in place: multiplication commutes.
+                src[i * side + j:].take(at, out=value, mode="wrap")
+                value *= w_r * w_c
+                out += value
+    np.copyto(out, 0.0, where=outside)
+    np.clip(out, 0.0, 1.0, out=out)
 
 
 def _catmull_rom_weights(t):
@@ -443,17 +521,23 @@ def canonicalize_images(stack, scheme: str = "bilinear",
     in (-pi, pi]: rotating the content counter-clockwise by it turns the
     mean gradient onto +z1.  A raster whose energy is at or below
     GRADIENT_THRESHOLD has no orientation; it gets angle 0.0 and the
-    degenerate flag, and is returned unrotated.  The stack goes
-    CHUNK_PIXELS at a time; a non-finite raster, or a sigma that is not
-    positive and finite, raises ValueError.
+    degenerate flag, and is returned unrotated.  The orientation estimate
+    goes CHUNK_PIXELS of the map's cells at a time (6 rasters of 48 x 48 at
+    sigma 1), the rotation CHUNK_PIXELS pixels at a time.
+
+    This function checks only what its callees do not: the shape, which
+    sizes the chunks, and the rank.  Bad input raises ValueError, in this
+    order: a raster that is not square, not a stack (N, n, n), smaller than
+    2 x 2, a sigma that is not positive and finite, non-finite values
+    (mean_gradient's check), an unknown scheme (rotate_image's check).
     """
     p = np.asarray(stack, dtype=float)
-    n = _require_rasters(p)
-    _check_scheme(scheme)
+    n = _square_side(p)
     if p.ndim != 3:
         raise ValueError(f"expected a stack (N, n, n) of rasters, got shape {p.shape}")
+    cells = max(len(component[0]) for component in _gradient_map(n, sigma))
     g1, g2 = np.empty(len(p)), np.empty(len(p))
-    for s in _chunks(len(p), n):
+    for s in _chunks(len(p), cells):
         g1[s], g2[s] = mean_gradient(p[s], sigma)
     energy = np.hypot(g1, g2)
     degenerate = energy <= GRADIENT_THRESHOLD

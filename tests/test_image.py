@@ -23,7 +23,7 @@ from orbitcanon.image import (
     mean_gradient,
     rotate_image,
 )
-from orbitcanon.image import _catmull_rom_weights
+from orbitcanon.image import _catmull_rom_weights, _edge_index, _gradient_map, _offset_grids
 
 
 def _wrap_angle(a):
@@ -843,11 +843,41 @@ class TestRotationTables:
             _assert_same_bits(out[index], _reference_rotate(grid[index], angles[index], scheme))
             _assert_same_bits(shared[index], _reference_rotate(grid[index], angles[2, 2], scheme))
 
+    @pytest.mark.parametrize("n", [7, 16, 33, 40])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_shared_angle_across_chunks(self, scheme, n):
+        """A shared angle over two full chunks and a short last one: the
+        first-tap index, built once per call and read in its leading rasters
+        by the short chunk, reads each raster as the reference does."""
+        rng = np.random.default_rng(375 + n)
+        count = 2 * (CHUNK_PIXELS // (n * n)) + 3
+        stack = _signed_rasters(rng, (count, n, n))
+        for alpha in (np.radians(33.0), rng.uniform(-7.0, 7.0)):
+            out = rotate_image(stack, alpha, scheme)
+            for img, got in zip(stack, out):
+                _assert_same_bits(got, _reference_rotate(img, alpha, scheme))
+
+    def test_cached_constants_are_read_only(self):
+        """Every array cached per raster size refuses a write, which would
+        reach every later call for that size."""
+        rotate_image(np.zeros((2, 9, 9)), 0.3, "bicubic")
+        mean_gradient(np.zeros((9, 9)), 1.0)
+        _, u, v = _offset_grids(9)
+        cached = [u, v, _edge_index(9, 1), _edge_index(9, 2)]
+        cached += [a for component in _gradient_map(9, 1.0) for a in component]
+        assert len(cached) == 10
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+
     @pytest.mark.parametrize("scheme, rasters", [("nearest", 7), ("bilinear", 13), ("bicubic", 19)])
     def test_one_large_raster_working_set(self, scheme, rasters):
         """One 512 x 512 raster peaks under this many raster-sized arrays:
-        measured 6.1, 12.1 and 18.1, where per-tap index arrays took 8.1,
-        17.1 and 27.1."""
+        measured 4.1, 11.1 and 16.1 with the sum written into the output
+        and one reused gather buffer, 6.1, 12.1 and 18.1 before that, and
+        8.1, 17.1 and 27.1 with per-tap index arrays."""
         img = np.random.default_rng(380).random((512, 512))
         rotate_image(img[:8, :8], 0.3, scheme)
         tracemalloc.start()
@@ -912,6 +942,26 @@ class TestCanonicalizeImages:
             assert _bits([one.element[0], one.energy[0]]) == _bits([res.element[i], res.energy[i]])
             assert one.degenerate.tolist() == [bool(res.degenerate[i])]
 
+    @pytest.mark.parametrize("n", [16, 32, 48, 90])
+    def test_gradient_chunk_boundaries(self, n):
+        """The orientation estimate goes CHUNK_PIXELS // cells rasters at a
+        time: over two full chunks and three more rasters (a short last
+        chunk, or at 90 x 90, three rasters to a chunk, a third full one)
+        every raster is canonicalized as it is alone, bit for bit."""
+        cells = max(len(component[0]) for component in _gradient_map(n, 1.0))
+        count = 2 * (CHUNK_PIXELS // cells) + 3
+        assert CHUNK_PIXELS // cells > CHUNK_PIXELS // (n * n)
+        rng = np.random.default_rng(354 + n)
+        base = gen_synthetic_images(seed=354, n_per_class=1, size=n).inputs
+        stack = np.stack([rotate_image(base[i % len(base)], a, "bilinear")
+                          for i, a in enumerate(rng.uniform(0.0, 2.0 * np.pi, count))])
+        res = canonicalize_images(stack, "bilinear", 1.0)
+        for i, img in enumerate(stack):
+            one = canonicalize_images(img[None], "bilinear", 1.0)
+            assert _bits(one.canonical[0]) == _bits(res.canonical[i])
+            assert _bits([one.element[0], one.energy[0]]) == _bits([res.element[i], res.energy[i]])
+            assert one.degenerate[0] == res.degenerate[i]
+
     def test_input_checks(self):
         """An unknown scheme raises for a stack, flat or not, as do a stack of
         the wrong rank, a non-square stack and non-finite values."""
@@ -938,9 +988,10 @@ class TestCanonicalizeImages:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_working_set_is_bounded(self, scheme):
         """64 rasters of 48 x 48 peak under the output plus 32 float arrays
-        of 8192 pixels (3.3 MB); bicubic measured 2.6 MB at CHUNK_PIXELS =
-        8192 and 4.6 MB at 16384.  Without chunking the path held about 23
-        stack-sized temporaries, some 27 MB."""
+        of 8192 pixels (3.3 MB); bicubic measured 2.1 MB at CHUNK_PIXELS =
+        8192, with gradient chunks of 6 rasters, and 4.6 MB at 16384 before
+        the rotation wrote into its output.  Without chunking the path held
+        about 23 stack-sized temporaries, some 27 MB."""
         stack = gen_synthetic_images(seed=353, n_per_class=16, size=48).inputs
         canonicalize_images(stack[:1], scheme)  # probe geometry cached
         tracemalloc.start()
