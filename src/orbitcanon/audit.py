@@ -425,7 +425,9 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
 
     shuffle_rng, aug_rng = (np.random.default_rng(s)
                             for s in np.random.SeedSequence(cfg.seed).spawn(2))
-    grid = np.array([r for _, r in rotation_grid_3d()]) if data.kind == "cloud" else None
+    # Only draw reads the grid, and building it takes no random draws.
+    grid = (np.array([r for _, r in rotation_grid_3d()])
+            if data.kind == "cloud" and cfg.mode != "plain" else None)
 
     k = 1 if cfg.mode == "random_augment" else cfg.k
 

@@ -159,13 +159,8 @@ def read_idx_labels(data: bytes) -> np.ndarray:
 # XYZ / OFF
 
 
-def read_xyz(text: str) -> np.ndarray:
-    """Parse whitespace-separated x y z lines into an N x 3 array.
-
-    Blank lines and lines starting with '#' are skipped; anything else
-    with other than three fields is an error reported with its line
-    number.
-    """
+def _xyz_lines(text: str) -> np.ndarray:
+    """read_xyz line by line: the only source of its line-numbered errors."""
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -180,19 +175,47 @@ def read_xyz(text: str) -> np.ndarray:
             raise ValueError(f"line {lineno}: non-numeric coordinate") from None
     if not points:
         raise ValueError("no points in XYZ input")
-    X = np.array(points, dtype=float)
+    return np.array(points, dtype=float)
+
+
+def read_xyz(text: str) -> np.ndarray:
+    """Parse whitespace-separated x y z lines into an N x 3 array.
+
+    Blank lines and lines starting with '#' are skipped; anything else
+    with other than three fields is an error reported with its line
+    number.  Text without '#' whose lines all hold 0 or 3 fields, at
+    least one of them 3 (all that write_xyz writes), is parsed in one
+    pass over its tokens; any other text, and text with a token float()
+    refuses, is read line by line.  Both paths call float() on the same
+    tokens, so they give the same bits.
+    """
+    X = None
+    if "#" not in text and set(map(len, map(str.split, text.splitlines()))) in ({3}, {0, 3}):
+        tokens = text.split()
+        try:
+            X = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 3)
+        except ValueError:
+            pass
+    if X is None:
+        X = _xyz_lines(text)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite coordinate in XYZ input")
     return X
 
 
 def write_xyz(points) -> str:
-    """Serialize an N x 3 array as one 'x y z' line per point, 17 digits."""
+    """Serialize an N x 3 array as one 'x y z' line per point, 17 digits.
+
+    Refuses what read_xyz refuses: an empty or non-finite cloud.
+    """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.shape[1] != 3:
         raise ValueError("expected an N x 3 point array")
-    lines = [" ".join(_F17(v) for v in row) for row in X]
-    return "\n".join(lines) + "\n"
+    if not len(X):
+        raise ValueError("no points to write as XYZ")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite coordinate in XYZ output")
+    return ("%.17g %.17g %.17g\n" * len(X)) % tuple(X.ravel().tolist())
 
 
 def read_off(text: str) -> np.ndarray:

@@ -167,6 +167,17 @@ class TestXyz:
         pts = read_xyz("\n1 2 3\n\n4 5 6\n")
         np.testing.assert_array_equal(pts, [[1, 2, 3], [4, 5, 6]])
 
+    def test_write_refuses_non_finite_cloud(self):
+        """The join writer wrote 'nan inf -0', which read_xyz then refused."""
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite coordinate in XYZ output"):
+                write_xyz([[0.0, 1.0, 2.0], [bad, 1.0, -0.0]])
+
+    def test_write_refuses_empty_cloud(self):
+        """The join writer wrote a lone newline, which read_xyz then refused."""
+        with pytest.raises(ValueError, match="no points to write as XYZ"):
+            write_xyz(np.zeros((0, 3)))
+
 
 class TestOff:
     def test_minimal_mesh_vertices_only(self):

@@ -662,6 +662,21 @@ def _test_stack(n, seed, flat_at=None):
     return np.stack(stack)
 
 
+def _crossing_count(*per_chunk):
+    """A stack over two full chunks of the largest per_chunk and at least three
+    rasters more, sized so that the last chunk is short under every per_chunk
+    above 1."""
+    count = 2 * max(per_chunk) + 3
+    while not _short_last_chunk(count, *per_chunk):
+        count += 1
+    return count
+
+
+def _short_last_chunk(count, *per_chunk):
+    """Whether count rasters end in a short chunk under every per_chunk above 1."""
+    return all(p == 1 or count % p for p in per_chunk)
+
+
 class TestStackedImagePath:
     """gaussian_blur, mean_gradient and rotate_image over a leading axis, and the
     blur folded into mean_gradient against the blurred and the exact path."""
@@ -766,7 +781,8 @@ class TestStackedImagePath:
         """One angle per raster rotates each raster as it rotates alone, across
         chunk boundaries and over two leading axes."""
         rng = np.random.default_rng(330 + n)
-        count = 2 * (CHUNK_PIXELS // (n * n)) + 3
+        count = _crossing_count(CHUNK_PIXELS // (n * n))
+        assert _short_last_chunk(count, CHUNK_PIXELS // (n * n))
         stack = rng.random((count, n, n))
         angles = np.concatenate([[0.0, np.pi / 2, -np.pi], rng.uniform(-7.0, 7.0, count - 3)])
         out = rotate_image(stack, angles, scheme)
@@ -815,7 +831,8 @@ class TestRotationTables:
         quarter and half turns, whole degrees and random angles.  A shared
         angle gives what the same angle given once per raster gives."""
         rng = np.random.default_rng(360 + n)
-        count = 2 * (CHUNK_PIXELS // (n * n)) + 3
+        count = _crossing_count(CHUNK_PIXELS // (n * n))
+        assert _short_last_chunk(count, CHUNK_PIXELS // (n * n))
         stack = _signed_rasters(rng, (count, n, n))
         special = [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]
         degrees = np.radians(rng.integers(-360, 361, (count - len(special)) // 2))
@@ -850,7 +867,8 @@ class TestRotationTables:
         first-tap index, built once per call and read in its leading rasters
         by the short chunk, reads each raster as the reference does."""
         rng = np.random.default_rng(375 + n)
-        count = 2 * (CHUNK_PIXELS // (n * n)) + 3
+        count = _crossing_count(CHUNK_PIXELS // (n * n))
+        assert _short_last_chunk(count, CHUNK_PIXELS // (n * n))
         stack = _signed_rasters(rng, (count, n, n))
         for alpha in (np.radians(33.0), rng.uniform(-7.0, 7.0)):
             out = rotate_image(stack, alpha, scheme)
@@ -932,6 +950,8 @@ class TestCanonicalizeImages:
         rng = np.random.default_rng(351)
         base = gen_synthetic_images(seed=351, n_per_class=1, size=n).inputs
         count = 2 * (CHUNK_PIXELS // (n * n)) + 5
+        cells = max(len(component[0]) for component in _gradient_map(n, 1.0))
+        assert _short_last_chunk(count, CHUNK_PIXELS // cells, CHUNK_PIXELS // (n * n))
         stack = np.stack([rotate_image(base[i % 4], a, "bilinear")
                           for i, a in enumerate(rng.uniform(0.0, 2.0 * np.pi, count))])
         res = canonicalize_images(stack, "bicubic", 1.0)
@@ -945,12 +965,15 @@ class TestCanonicalizeImages:
     @pytest.mark.parametrize("n", [16, 32, 48, 90])
     def test_gradient_chunk_boundaries(self, n):
         """The orientation estimate goes CHUNK_PIXELS // cells rasters at a
-        time: over two full chunks and three more rasters (a short last
-        chunk, or at 90 x 90, three rasters to a chunk, a third full one)
-        every raster is canonicalized as it is alone, bit for bit."""
+        time, the rotation CHUNK_PIXELS // (n * n): over two full gradient
+        chunks and a short last one of each kind (at 90 x 90 a rotation chunk
+        is one raster) every raster is canonicalized as it is alone, bit for
+        bit."""
         cells = max(len(component[0]) for component in _gradient_map(n, 1.0))
-        count = 2 * (CHUNK_PIXELS // cells) + 3
-        assert CHUNK_PIXELS // cells > CHUNK_PIXELS // (n * n)
+        per_chunk = CHUNK_PIXELS // cells, CHUNK_PIXELS // (n * n)
+        count = _crossing_count(*per_chunk)
+        assert per_chunk[0] > per_chunk[1]
+        assert _short_last_chunk(count, *per_chunk)
         rng = np.random.default_rng(354 + n)
         base = gen_synthetic_images(seed=354, n_per_class=1, size=n).inputs
         stack = np.stack([rotate_image(base[i % len(base)], a, "bilinear")
