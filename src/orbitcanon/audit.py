@@ -328,15 +328,13 @@ def rotation_about(axis: int, angle: float) -> np.ndarray:
     raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
 
 
-def rotation_grid_3d(steps: int = GRID_STEPS_3D) -> list[tuple[str, np.ndarray]]:
-    """The steps x steps audit grid: Rz(2 pi i / steps) @ Rx(2 pi j / steps)."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+def rotation_grid_3d() -> list[tuple[str, np.ndarray]]:
+    """The S x S audit grid Rz(2 pi i / S) @ Rx(2 pi j / S), S = GRID_STEPS_3D, named 'i:j'."""
     grid = []
-    for i in range(steps):
-        ri = rotation_about(2, 2.0 * np.pi * i / steps)
-        for j in range(steps):
-            rj = rotation_about(0, 2.0 * np.pi * j / steps)
+    for i in range(GRID_STEPS_3D):
+        ri = rotation_about(2, 2.0 * np.pi * i / GRID_STEPS_3D)
+        for j in range(GRID_STEPS_3D):
+            rj = rotation_about(0, 2.0 * np.pi * j / GRID_STEPS_3D)
             grid.append((f"{i}:{j}", ri @ rj))
     return grid
 

@@ -36,6 +36,7 @@ _MODE_NAMES = {"plain": "plain", "ra": "random_augment", "adv": "adversarial",
                "mixed": "mixed", "adv-alp": "adversarial_alp",
                "adv-kl": "adversarial_kl"}
 _CANON_NAMES = {"off": "off", "train": "train_and_test", "test": "test_only"}
+_GENERATORS = {"images": _audit.gen_synthetic_images, "clouds": _audit.gen_synthetic_clouds}
 
 
 class _UsageError(Exception):
@@ -60,17 +61,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--scheme", choices=SCHEMES, default="bilinear")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--report", default=None)
+    p.set_defaults(handler=_cmd_canon_image)
 
     p = sub.add_parser("canon-cloud", help="canonicalize one XYZ/OFF cloud")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--frame", default=None)
+    p.set_defaults(handler=_cmd_canon_cloud)
 
     p = sub.add_parser("gen-data", help="generate a synthetic labeled dataset")
-    p.add_argument("--kind", choices=("images", "clouds"), required=True)
+    p.add_argument("--kind", choices=tuple(_GENERATORS), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--per-class", type=int, default=12)
     p.add_argument("--out", dest="outdir", required=True)
+    p.set_defaults(handler=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train the linear softmax classifier")
     p.add_argument("--data", required=True)
@@ -89,15 +93,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--scheme", choices=SCHEMES, default="bilinear")
     p.add_argument("--sigma", type=float, default=1.0)
+    p.set_defaults(handler=_cmd_train)
 
-    for name, extra in (("audit-rot2d", True), ("audit-rot3d", False),
-                        ("audit-scale", False)):
-        p = sub.add_parser(name, help=f"run the {name.split('-')[1]} audit")
+    # Each audit names its function, which _cmd_audit looks up on the audit
+    # module when it runs, so a wrapper patched onto that module is called.
+    for audit, evaluate, schemed in (("rot2d", "evaluate_rotation_sweep_2d", True),
+                                     ("rot3d", "evaluate_rotation_grid_3d", False),
+                                     ("scale", "evaluate_scale_sweep", False)):
+        p = sub.add_parser(f"audit-{audit}", help=f"run the {audit} audit")
         p.add_argument("--model", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--out", dest="outfile", required=True)
-        if extra:
+        if schemed:
             p.add_argument("--scheme", choices=SCHEMES, default="bilinear")
+        p.set_defaults(handler=_cmd_audit, evaluate=evaluate)
 
     p = sub.add_parser("curve", help="true-class probability vs rotation angle")
     p.add_argument("--model", required=True)
@@ -105,13 +114,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--label", type=int, default=None)
     p.add_argument("--scheme", choices=SCHEMES, default="bilinear")
+    p.set_defaults(handler=_cmd_curve)
 
-    sub.add_parser("selftest", help="run the built-in invariant suite")
+    sub.add_parser("selftest", help="run the built-in invariant suite").set_defaults(
+        handler=_cmd_selftest)
     return parser
 
 
 def _read_cloud_file(path: Path) -> np.ndarray:
-    text = path.read_text()
+    text = _formats.read_cloud_text(path)
     if path.suffix.lower() == ".off":
         return _formats.read_off(text)
     return _formats.read_xyz(text)
@@ -149,10 +160,7 @@ def _cmd_canon_cloud(args) -> int:
 def _cmd_gen_data(args) -> int:
     if args.per_class < 1:
         raise _UsageError("--per-class must be >= 1")
-    if args.kind == "images":
-        data = _audit.gen_synthetic_images(args.seed, n_per_class=args.per_class)
-    else:
-        data = _audit.gen_synthetic_clouds(args.seed, n_per_class=args.per_class)
+    data = _GENERATORS[args.kind](args.seed, n_per_class=args.per_class)
     _formats.save_dataset(data, args.outdir)
     return 0
 
@@ -173,15 +181,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_audit(args, which: str) -> int:
+def _cmd_audit(args) -> int:
     model = _formats.load_model(Path(args.model).read_bytes())
     data = _formats.load_dataset(args.data)
-    if which == "rot2d":
-        report = _audit.evaluate_rotation_sweep_2d(model, data, scheme=args.scheme)
-    elif which == "rot3d":
-        report = _audit.evaluate_rotation_grid_3d(model, data)
-    else:
-        report = _audit.evaluate_scale_sweep(model, data)
+    options = {"scheme": args.scheme} if "scheme" in args else {}
+    report = getattr(_audit, args.evaluate)(model, data, **options)
     Path(args.outfile).write_text(_formats.write_report(report))
     return 0
 
@@ -190,9 +194,9 @@ def _cmd_curve(args) -> int:
     model = _formats.load_model(Path(args.model).read_bytes())
     path = Path(args.sample)
     if model.kind == "image":
-        datum = _formats.read_pgm(path.read_bytes()).pixels
+        datum, angles = _formats.read_pgm(path.read_bytes()).pixels, np.radians(np.arange(360.0))
     else:
-        datum = _read_cloud_file(path)
+        datum, angles = _read_cloud_file(path), 2.0 * np.pi * np.arange(16) / 16.0
     if args.label is None:
         # Default to the model's prediction on the untransformed sample.
         label = int(model.predict(_audit.featurize(model, model.kind, datum[None]))[0])
@@ -202,10 +206,6 @@ def _cmd_curve(args) -> int:
         if not 0 <= label < n_classes:
             raise _UsageError(f"--label {label} is not a class of this "
                               f"{n_classes}-class model (0..{n_classes - 1})")
-    if model.kind == "image":
-        angles = np.radians(np.arange(360.0))
-    else:
-        angles = 2.0 * np.pi * np.arange(16) / 16.0
     probs = _audit.softmax_curve(model, (datum, label), angles, scheme=args.scheme)
     rows = [(i, math.degrees(float(a)), float(p))
             for i, (a, p) in enumerate(zip(angles, probs))]
@@ -347,7 +347,7 @@ SELFTEST_CHECKS = (
 )
 
 
-def _cmd_selftest() -> int:
+def _cmd_selftest(args=None) -> int:
     failures = 0
     for name, check in SELFTEST_CHECKS:
         try:
@@ -374,18 +374,7 @@ def run(argv=None) -> int:
             return 1
         if getattr(args, "seed", 0) < 0:
             raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-        if args.subcommand == "selftest":
-            return _cmd_selftest()
-        handler = {
-            "canon-image": _cmd_canon_image,
-            "canon-cloud": _cmd_canon_cloud,
-            "gen-data": _cmd_gen_data,
-            "train": _cmd_train,
-            "curve": _cmd_curve,
-        }.get(args.subcommand)
-        if handler is not None:
-            return handler(args)
-        return _cmd_audit(args, args.subcommand.split("-")[1])
+        return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

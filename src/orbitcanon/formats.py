@@ -159,6 +159,22 @@ def read_idx_labels(data: bytes) -> np.ndarray:
 # XYZ / OFF
 
 
+def _number(token: str, parse=float):
+    """parse(token), refusing a token with '_' or a non-ASCII character: float() and
+    int() read '1_0' as 10 and Arabic-Indic digits as numbers."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return parse(token)
+
+
+def read_cloud_text(path: Path) -> str:
+    """The text of an XYZ/OFF file; ValueError names a file that is not text."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path} is not XYZ/OFF text") from None
+
+
 def _xyz_lines(text: str) -> np.ndarray:
     """read_xyz line by line: the only source of its line-numbered errors."""
     points = []
@@ -170,7 +186,7 @@ def _xyz_lines(text: str) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 coordinates, got {len(parts)}")
         try:
-            points.append([float(p) for p in parts])
+            points.append([_number(p) for p in parts])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric coordinate") from None
     if not points:
@@ -183,14 +199,16 @@ def read_xyz(text: str) -> np.ndarray:
 
     Blank lines and lines starting with '#' are skipped; anything else
     with other than three fields is an error reported with its line
-    number.  Text without '#' whose lines all hold 0 or 3 fields, at
-    least one of them 3 (all that write_xyz writes), is parsed in one
-    pass over its tokens; any other text, and text with a token float()
-    refuses, is read line by line.  Both paths call float() on the same
-    tokens, so they give the same bits.
+    number, as is a coordinate float() refuses or one holding '_' or a
+    non-ASCII character.  ASCII text without '#' or '_' whose lines all
+    hold 0 or 3 fields, at least one of them 3 (all that write_xyz
+    writes), is parsed in one pass over its tokens; any other text, and
+    text with a token float() refuses, is read line by line.  Both paths
+    call float() on the same tokens, so they give the same bits.
     """
     X = None
-    if "#" not in text and set(map(len, map(str.split, text.splitlines()))) in ({3}, {0, 3}):
+    if (text.isascii() and "_" not in text and "#" not in text
+            and set(map(len, map(str.split, text.splitlines()))) in ({3}, {0, 3})):
         tokens = text.split()
         try:
             X = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 3)
@@ -219,7 +237,8 @@ def write_xyz(points) -> str:
 
 
 def read_off(text: str) -> np.ndarray:
-    """Read the vertices of an OFF mesh as an N x 3 array; faces are ignored."""
+    """Read the vertices of an OFF mesh as an N x 3 array; faces are ignored.  A count
+    or coordinate holding '_' or a non-ASCII character is refused, as in read_xyz."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -242,7 +261,7 @@ def read_off(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"line {lineno}: counts line needs 3 fields")
     try:
-        n_vertices, n_faces, _ = (int(p) for p in parts)
+        n_vertices, n_faces, _ = (_number(p, int) for p in parts)
     except ValueError:
         raise ValueError(f"line {lineno}: non-integer counts") from None
     if n_vertices < 1:
@@ -257,7 +276,7 @@ def read_off(text: str) -> np.ndarray:
         if len(parts) < 3:
             raise ValueError(f"line {lineno}: vertex needs 3 coordinates")
         try:
-            points.append([float(p) for p in parts[:3]])
+            points.append([_number(p) for p in parts[:3]])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric vertex coordinate") from None
     X = np.array(points, dtype=float)
@@ -513,6 +532,6 @@ def load_dataset(directory):
         if kind == "image":
             inputs.append(read_pgm(path.read_bytes()).pixels)
         else:
-            inputs.append(read_xyz(path.read_text()))
+            inputs.append(read_xyz(read_cloud_text(path)))
     return LabeledDataset(kind=kind, inputs=inputs, targets=labels,
                           class_names=class_names, seed=seed)

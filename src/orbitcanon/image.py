@@ -120,9 +120,13 @@ def _blur_taps(sigma: float) -> np.ndarray:
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
     radius = int(math.ceil(3.0 * sigma))
-    offsets = np.arange(-radius, radius + 1, dtype=float)
+    # One array of 2 R + 1 floats, worked in place: the normalizing sum needs every tap.
+    taps = np.arange(-radius, radius + 1, dtype=float)
+    np.square(taps, out=taps)
+    np.negative(taps, out=taps)
     # the floor keeps the taps [0, 1, 0] where 2 sigma^2 underflows (sigma < ~1.5e-162)
-    taps = np.exp(-(offsets ** 2) / max(2.0 * sigma * sigma, np.finfo(float).tiny))
+    taps /= max(2.0 * sigma * sigma, np.finfo(float).tiny)
+    np.exp(taps, out=taps)
     taps /= taps.sum()
     return taps
 
@@ -284,7 +288,7 @@ def _edge_blur_adjoint(w, taps) -> np.ndarray:
     the last row the mirror image."""
     radius, reach = len(taps) // 2, min(len(taps) // 2, len(w) - 1)
     out = _zero_padded_blur(w, taps)
-    folded = np.cumsum(taps)[radius - np.arange(reach + 1)]
+    folded = np.cumsum(taps[:radius + 1])[radius - np.arange(reach + 1)]
     out[0] = np.einsum("i,i...->...", folded, w[:reach + 1])
     out[-1] = np.einsum("i,i...->...", folded, w[::-1][:reach + 1])
     return out

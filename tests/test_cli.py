@@ -2,13 +2,14 @@
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from orbitcanon.audit import (LabeledDataset, gen_synthetic_clouds, gen_synthetic_images,
                               rotation_about)
-from orbitcanon import cli
+from orbitcanon import audit, cli
 from orbitcanon.cli import run
 from orbitcanon.cloud import canonicalize_similarity
 from orbitcanon.formats import (
@@ -253,6 +254,41 @@ class TestCanonCloud:
             "error: degenerate input: every point is at the origin; "
             "no scale to remove\n")
         assert not (tmp_path / "c.xyz").exists()
+
+
+class TestBinaryCloudFile:
+    """A PGM handed over as a cloud is named as not XYZ/OFF text, exit 2, on
+    each path that reads cloud text, rather than as a bare codec error."""
+
+    @pytest.fixture()
+    def pgm(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(write_pgm(GrayImage(np.linspace(0.0, 1.0, 16).reshape(4, 4))))
+        return path
+
+    def _assert_named(self, capsys, code, path):
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path} is not XYZ/OFF text\n"
+
+    @pytest.mark.parametrize("name", ["x.pgm", "x.xyz", "x.off"])
+    def test_canon_cloud(self, tmp_path, capsys, pgm, name):
+        path = pgm.rename(tmp_path / name)
+        code = run(["canon-cloud", "--in", str(path), "--out", str(tmp_path / "c.xyz")])
+        self._assert_named(capsys, code, path)
+
+    def test_curve_and_manifest(self, tmp_path, capsys, pgm):
+        data = _gen(tmp_path, "clouds", per_class=2)
+        model = tmp_path / "model.bin"
+        assert run(["train", "--data", str(data), "--epochs", "2",
+                    "--model", str(model)]) == 0
+        code = run(["curve", "--model", str(model), "--sample", str(pgm),
+                    "--out", str(tmp_path / "curve.csv")])
+        self._assert_named(capsys, code, pgm)
+        listed = sorted(data.glob("*.xyz"))[0]
+        listed.write_bytes(pgm.read_bytes())
+        code = run(["audit-scale", "--model", str(model), "--data", str(data),
+                    "--out", str(tmp_path / "scale.csv")])
+        self._assert_named(capsys, code, listed)
 
 
 class TestGenData:
@@ -635,6 +671,34 @@ class TestCurve:
                     "--out", str(out), "--label", label]) == 1
         assert not out.exists()
         assert "4-class model" in capsys.readouterr().err
+
+
+class TestAuditDispatch:
+    @pytest.mark.parametrize("command, kind, evaluate", [
+        ("audit-rot2d", "images", "evaluate_rotation_sweep_2d"),
+        ("audit-rot3d", "clouds", "evaluate_rotation_grid_3d"),
+        ("audit-scale", "clouds", "evaluate_scale_sweep"),
+    ])
+    def test_each_audit_calls_its_own_function_once(self, tmp_path, monkeypatch,
+                                                    command, kind, evaluate):
+        """Each audit-* subcommand looks its evaluate_* function up on the audit
+        module when it runs, so a wrapper patched onto that attribute, as a
+        tracer patches it, sees the one call, and no other audit runs."""
+        data = _gen(tmp_path, kind, per_class=2)
+        model = tmp_path / "model.bin"
+        assert run(["train", "--data", str(data), "--epochs", "2",
+                    "--model", str(model)]) == 0
+        calls = Counter()
+        names = [name for name in vars(audit) if name.startswith("evaluate_")]
+        assert len(names) == 3
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(audit, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(audit, name, counted)
+        assert run([command, "--model", str(model), "--data", str(data),
+                    "--out", str(tmp_path / "report.csv")]) == 0
+        assert calls == {evaluate: 1}
 
 
 class TestRerunBytes:

@@ -201,6 +201,22 @@ class TestOff:
         with pytest.raises(ValueError):
             read_off("OFF\n3 0 0\n0 0 0\n1 1 1\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("OFF\n1_0 0 0\n" + "1 2 3\n" * 10, "line 2: non-integer counts"),
+        ("OFF \u0661 0 0\n1 2 3\n", "line 1: non-integer counts"),
+        ("OFF\n2 0 0\n1 2 3\n1_0 2 3\n", "line 4: non-numeric vertex coordinate"),
+        ("OFF\n1 0 0\n1 \u0662 3\n", "line 3: non-numeric vertex coordinate"),
+    ])
+    def test_refuses_underscores_and_non_ascii_digits(self, text, message):
+        """int() and float() take '1_0' and Arabic-Indic digits; other OFF readers do not."""
+        with pytest.raises(ValueError) as err:
+            read_off(text)
+        assert str(err.value) == message
+
+    def test_unicode_separators_stay_separators(self):
+        text = "OFF\n2\xa00 0\n1\xa02\u20033\n4 5 6 1_0\n"
+        np.testing.assert_array_equal(read_off(text), [[1, 2, 3], [4, 5, 6]])
+
 
 def _sample_report():
     rng = np.random.default_rng(403)

@@ -6,7 +6,10 @@ pass over its tokens, and anything else line by line; write_xyz formats a
 whole cloud with one '%' call.  The oracles below are the line loop and the
 join writer, kept as they were: read_xyz must return the oracle's array bit
 for bit or raise the oracle's exact message, and write_xyz must write the
-oracle's text wherever the oracle's text reads back.
+oracle's text wherever the oracle's text reads back.  The one departure:
+read_xyz refuses a coordinate holding '_' or a non-ASCII character, which
+float() takes, so a text with such a token must raise the message of the
+line loop that calls ascii_float in place of float().
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ from orbitcanon.formats import read_xyz, write_xyz  # noqa: E402
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
 
-def oracle_read_xyz(text):
+def oracle_read_xyz(text, number=float):
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -32,7 +35,7 @@ def oracle_read_xyz(text):
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 coordinates, got {len(parts)}")
         try:
-            points.append([float(p) for p in parts])
+            points.append([number(p) for p in parts])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric coordinate") from None
     if not points:
@@ -51,6 +54,12 @@ def oracle_write_xyz(points):
     return "\n".join(lines) + "\n"
 
 
+def ascii_float(token):
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return float(token)
+
+
 def _outcome(read, text):
     """The array's shape and bytes (so -0.0 differs from 0.0), or the message."""
     try:
@@ -58,6 +67,16 @@ def _outcome(read, text):
     except ValueError as err:
         return "raised", str(err)
     return X.shape, X.tobytes()
+
+
+def _expected(text):
+    """The oracle's outcome; for a text with a token holding '_' or a non-ASCII
+    character, the refusal of the line loop that reads tokens with ascii_float."""
+    if all("_" not in t and t.isascii() for t in text.split()):
+        return _outcome(oracle_read_xyz, text)
+    outcome = _outcome(lambda t: oracle_read_xyz(t, ascii_float), text)
+    assert outcome[0] == "raised"
+    return outcome
 
 
 # Tokens: what write_xyz writes, other spellings float() takes (signs,
@@ -116,13 +135,13 @@ class TestReadXyz:
     @given(texts(mixed=False))
     def test_rows_and_blank_lines(self, text):
         """Rows of three and blank lines: about half take the one-pass path."""
-        assert _outcome(read_xyz, text) == _outcome(oracle_read_xyz, text)
+        assert _outcome(read_xyz, text) == _expected(text)
 
     @SETTINGS
     @given(texts(mixed=True))
     def test_mixed_texts(self, text):
         """Comments, rows of 2 and 4 fields and blank lines mixed in."""
-        assert _outcome(read_xyz, text) == _outcome(oracle_read_xyz, text)
+        assert _outcome(read_xyz, text) == _expected(text)
 
     @pytest.mark.parametrize("text, message", [
         ("1 2 3\n4 5 x\n", "line 2: non-numeric coordinate"),
@@ -138,10 +157,31 @@ class TestReadXyz:
         assert str(err.value) == message == _outcome(oracle_read_xyz, text)[1]
 
     def test_signed_zero_and_extremes(self):
-        text = "-0 0 -0.0\n5e-324 -2.2e-308 1.7e308\n1_0 +3 1e16\n"
+        text = "-0 0 -0.0\n5e-324 -2.2e-308 1.7e308\n10 +3 1e16\n"
         X = read_xyz(text)
         assert X.tobytes() == oracle_read_xyz(text).tobytes()
         assert np.signbit(X[0]).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("text, message", [
+        ("1_0 2 3\n", "line 1: non-numeric coordinate"),
+        ("1 2 3\n\u0661\u0662 2 3\n", "line 2: non-numeric coordinate"),
+        ("1 2 3\n4 5 \uff16\n", "line 2: non-numeric coordinate"),
+        ("1 2 3\n1 2\n1_0 2 3\n", "line 2: expected 3 coordinates, got 2"),
+    ])
+    def test_refuses_underscores_and_non_ascii_digits(self, text, message):
+        """float() reads '1_0' as 10 and Arabic-Indic or fullwidth digits as
+        numbers; other XYZ readers refuse them, and so does read_xyz."""
+        with pytest.raises(ValueError) as err:
+            read_xyz(text)
+        assert str(err.value) == message == _expected(text)[1]
+
+    def test_unicode_separators_stay_separators(self):
+        """NBSP and the other Unicode spaces still split fields, and a comment
+        may hold any character."""
+        text = "1\xa02\u20033\n\x0c4 5\xa06\n# \u0661\u0662 1_0\n"
+        X = read_xyz(text)
+        assert X.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert X.tobytes() == oracle_read_xyz(text).tobytes()
 
 
 clouds = arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)),
