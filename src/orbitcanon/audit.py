@@ -339,29 +339,27 @@ def rotation_grid_3d() -> list[tuple[str, np.ndarray]]:
     return grid
 
 
-def featurize(spec, kind: str, data) -> np.ndarray:
+def featurize(model, data, training: bool = False) -> np.ndarray:
     """The feature matrix of a stack of data, one raveled datum a row.
 
     data is a stack (N, P, 3) of clouds or (N, h, w) of rasters, or a
-    list of equally sized ones.  spec is a TrainConfig while training and
-    the LinearSoftmaxModel being fed otherwise.  The data are first
-    canonicalized when spec canonicalizes at that stage (a config under
-    'train_and_test', a model also under 'test_only'): a cloud stack in
-    one canonicalize_clouds call, a raster stack in one
-    canonicalize_images call with spec's scheme and sigma.  A model's data must
-    have the size of its weights; ValueError names both sizes of a
-    mismatch.
+    list of equally sized ones, of the kind model.kind.  training marks
+    the trainer's stage, where 'test_only' does not canonicalize.  The
+    data are first canonicalized when the model canonicalizes at that
+    stage: a cloud stack in one canonicalize_clouds call, a raster stack
+    in one canonicalize_images call with the model's scheme and sigma.
+    The data must have the size of the model's weights; ValueError names
+    both sizes of a mismatch.
     """
-    training = isinstance(spec, TrainConfig)
     data = np.asarray(data, dtype=float)
-    if spec.canonicalize == "train_and_test" or (
-            spec.canonicalize == "test_only" and not training):
-        data = (canonicalize_clouds(data) if kind == "cloud" else
-                canonicalize_images(data, spec.scheme or "bilinear", spec.sigma)).canonical
+    if model.canonicalize == "train_and_test" or (
+            model.canonicalize == "test_only" and not training):
+        data = (canonicalize_clouds(data) if model.kind == "cloud" else
+                canonicalize_images(data, model.scheme or "bilinear", model.sigma)).canonical
     feats = data.reshape(len(data), -1)
-    if not training and feats.shape[1] != spec.weights.shape[1]:
-        raise ValueError(f"the model takes {_sized(kind, spec.weights.shape[1])}, "
-                         f"not {_sized(kind, feats.shape[1])}")
+    if feats.shape[1] != model.weights.shape[1]:
+        raise ValueError(f"the model takes {_sized(model.kind, model.weights.shape[1])}, "
+                         f"not {_sized(model.kind, feats.shape[1])}")
     return feats
 
 
@@ -384,42 +382,36 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _ce_grad(model_w, model_b, feats, labels):
+def _ce_grad(model, feats, labels):
     """Mean cross-entropy gradient over a batch; returns (gW, gb, logits)."""
-    z = feats @ model_w.T + model_b
-    logp = _log_softmax(z)
-    g = np.exp(logp)
+    z = model.logits(feats)
+    g = np.exp(_log_softmax(z))
     g[np.arange(len(labels)), labels] -= 1.0
     g /= len(labels)
     return g.T @ feats, g.sum(axis=0), z
 
 
-def _per_sample_ce(model_w, model_b, feats, labels):
-    z = feats @ model_w.T + model_b
-    logp = _log_softmax(z)
-    return -logp[np.arange(len(labels)), labels]
-
-
 def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxModel:
     """Fit the linear softmax head by plain minibatch gradient descent.
 
-    Weights start at zero (the objective is convex, so no random init is
-    needed) and every random draw comes from generators seeded by
-    cfg.seed, making the result a deterministic function of (data, cfg).
-    Clean samples and augmented candidates become features through
-    featurize, which canonicalizes them under 'train_and_test'.  Cloud
-    candidates are the rotation_grid_3d() rotations the 3-D audit scores,
-    so it sees a cloud model's training transforms (ROADMAP.md plans a
-    held-out audit).  Raises ValueError if the parameters stop being
-    finite (diverged learning rate).
+    The model returned is built before the first step, with zero weights
+    (the objective is convex, so no random init is needed), and fitted in
+    place.  Every random draw comes from generators seeded by cfg.seed,
+    making the result a deterministic function of (data, cfg).  Clean
+    samples and augmented candidates become features through featurize,
+    which canonicalizes them under 'train_and_test'.  Cloud candidates are
+    the rotation_grid_3d() rotations the 3-D audit scores, so it sees a
+    cloud model's training transforms (ROADMAP.md plans a held-out audit).
+    Raises ValueError if the parameters stop being finite (diverged
+    learning rate).
     """
-    clean_feats = featurize(cfg, data.kind, data.inputs)
+    model = LinearSoftmaxModel(weights=np.zeros((data.n_classes, data.inputs[0].size)),
+                               bias=np.zeros(data.n_classes), kind=data.kind,
+                               canonicalize=cfg.canonicalize,
+                               scheme=cfg.scheme if data.kind == "image" else None,
+                               sigma=cfg.sigma, mode=cfg.mode)
+    clean_feats = featurize(model, data.inputs, training=True)
     labels = data.labels()
-    n, n_features = clean_feats.shape
-    n_classes = data.n_classes
-
-    W = np.zeros((n_classes, n_features))
-    b = np.zeros(n_classes)
 
     shuffle_rng, aug_rng = (np.random.default_rng(s)
                             for s in np.random.SeedSequence(cfg.seed).spawn(2))
@@ -443,28 +435,28 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
     pairing = cfg.mode in ("adversarial_alp", "adversarial_kl") and cfg.lam > 0.0
 
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
+        order = shuffle_rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             yb = labels[idx]
             if cfg.mode == "plain":
-                gW, gb, _ = _ce_grad(W, b, clean_feats[idx], yb)
+                gW, gb, _ = _ce_grad(model, clean_feats[idx], yb)
             else:
                 # Worst of k freshly drawn transforms per sample, judged by
                 # the sample's current loss.  k is 1 for random_augment.
                 # The batch's candidates are featurized and scored together,
                 # k consecutive rows per sample.
-                cand = featurize(cfg, data.kind, draw(idx))
-                losses = _per_sample_ce(W, b, cand, np.repeat(yb, k))
+                cand = featurize(model, draw(idx), training=True)
+                losses = -_log_softmax(model.logits(cand))[np.arange(len(cand)), np.repeat(yb, k)]
                 worst = np.argmax(losses.reshape(len(idx), k), axis=1)
                 adv = cand[np.arange(len(idx)) * k + worst]
-                gW, gb, z_adv = _ce_grad(W, b, adv, yb)
+                gW, gb, z_adv = _ce_grad(model, adv, yb)
                 if cfg.mode == "mixed":
-                    gW2, gb2, _ = _ce_grad(W, b, clean_feats[idx], yb)
+                    gW2, gb2, _ = _ce_grad(model, clean_feats[idx], yb)
                     gW += gW2
                     gb += gb2
                 elif pairing:
-                    z_clean = clean_feats[idx] @ W.T + b
+                    z_clean = model.logits(clean_feats[idx])
                     if cfg.mode == "adversarial_alp":
                         # d/dz ||z - z_hat||^2, averaged over the batch
                         d_adv = 2.0 * (z_adv - z_clean) / len(idx)
@@ -481,18 +473,14 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
             if cfg.weight_decay > 0.0:
                 # L2 on the weights only; the bias stays free, which is what
                 # leaves a scale-independent term in the logits.
-                gW += cfg.weight_decay * W
-            W -= cfg.learning_rate * gW
-            b -= cfg.learning_rate * gb
-        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
+                gW += cfg.weight_decay * model.weights
+            model.weights -= cfg.learning_rate * gW
+            model.bias -= cfg.learning_rate * gb
+        if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
             raise ValueError(
                 f"training diverged at epoch {epoch}: non-finite parameters "
                 f"(mode={cfg.mode}, learning_rate={cfg.learning_rate})")
-
-    return LinearSoftmaxModel(weights=W, bias=b, kind=data.kind,
-                              canonicalize=cfg.canonicalize,
-                              scheme=cfg.scheme if data.kind == "image" else None,
-                              sigma=cfg.sigma, mode=cfg.mode)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -559,17 +547,17 @@ def _sweep(model, data, audit, kind, grid, move, scheme) -> AuditReport:
     if data.kind != model.kind:
         raise ValueError(f"model expects {model.kind} data, got {data.kind}")
     labels = data.labels()
-    clean_pred = model.predict(featurize(model, model.kind, data.inputs))
+    clean_pred = model.predict(featurize(model, data.inputs))
     clean = float(np.mean(clean_pred == labels))
     step = max(1, SWEEP_CHUNK_FLOATS // data.inputs.size)
     correct = np.empty((len(data), len(grid)), dtype=bool)
     for start in range(0, len(grid), step):
         chunk = [move(data.inputs, parameter) for _, parameter in grid[start:start + step]]
         try:
-            feats = featurize(model, model.kind, np.concatenate(chunk))
+            feats = featurize(model, np.concatenate(chunk))
         except ValueError:  # name the datum as its grid point alone does
             for moved in chunk:
-                featurize(model, model.kind, moved)
+                featurize(model, moved)
             raise
         for gi, rows in enumerate(np.split(feats, len(chunk)), start):
             correct[:, gi] = model.predict(rows) == labels
@@ -626,4 +614,4 @@ def softmax_curve(model, sample, angles, scheme: str = "bilinear") -> np.ndarray
     # One row at a time: a batched product sums in another order, which
     # would change the last bits of the curve.
     return np.array([np.exp(_log_softmax(model.logits(row[None, :])))[0, label]
-                     for row in featurize(model, model.kind, moved)])
+                     for row in featurize(model, moved)])

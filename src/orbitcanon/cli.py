@@ -199,7 +199,7 @@ def _cmd_curve(args) -> int:
         datum, angles = _read_cloud_file(path), 2.0 * np.pi * np.arange(16) / 16.0
     if args.label is None:
         # Default to the model's prediction on the untransformed sample.
-        label = int(model.predict(_audit.featurize(model, model.kind, datum[None]))[0])
+        label = int(model.predict(_audit.featurize(model, datum[None]))[0])
     else:
         label = args.label
         n_classes = model.weights.shape[0]
@@ -380,7 +380,9 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename}", file=sys.stderr)
+        parent = Path(str(exc.filename)).parent
+        missing = f"file: {exc.filename}" if parent.is_dir() else f"directory: {parent}"
+        print(f"error: missing {missing}", file=sys.stderr)
         return 2
     except DegenerateCloudError as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)

@@ -48,10 +48,7 @@ def _pgm_tokens(data: bytes, count: int, pos: int) -> tuple[list[int], int]:
         token, pos = match[1], match.end()
         if not token:
             raise ValueError("truncated header: expected more numeric fields")
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ValueError(f"non-numeric header token {token!r}") from None
+        values.append(_number(token.decode("latin-1"), f"non-numeric header token {token!r}", int))
     return values, pos
 
 
@@ -159,12 +156,16 @@ def read_idx_labels(data: bytes) -> np.ndarray:
 # XYZ / OFF
 
 
-def _number(token: str, parse=float):
-    """parse(token), refusing a token with '_' or a non-ASCII character: float() and
-    int() read '1_0' as 10 and Arabic-Indic digits as numbers."""
-    if "_" in token or not token.isascii():
-        raise ValueError(token)
-    return parse(token)
+def _number(token: str, refusal: str, parse=float):
+    """parse(token), or ValueError(refusal) for a token that parse refuses or that holds
+    '_' or a non-ASCII character: float() and int() read '1_0' as 10 and Arabic-Indic
+    digits as numbers."""
+    if "_" not in token and token.isascii():
+        try:
+            return parse(token)
+        except ValueError:
+            pass
+    raise ValueError(refusal)
 
 
 def read_cloud_text(path: Path) -> str:
@@ -185,10 +186,7 @@ def _xyz_lines(text: str) -> np.ndarray:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 coordinates, got {len(parts)}")
-        try:
-            points.append([_number(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric coordinate") from None
+        points.append([_number(p, f"line {lineno}: non-numeric coordinate") for p in parts])
     if not points:
         raise ValueError("no points in XYZ input")
     return np.array(points, dtype=float)
@@ -260,10 +258,8 @@ def read_off(text: str) -> np.ndarray:
     parts = counts.split()
     if len(parts) != 3:
         raise ValueError(f"line {lineno}: counts line needs 3 fields")
-    try:
-        n_vertices, n_faces, _ = (_number(p, int) for p in parts)
-    except ValueError:
-        raise ValueError(f"line {lineno}: non-integer counts") from None
+    n_vertices, n_faces, _ = (_number(p, f"line {lineno}: non-integer counts", int)
+                              for p in parts)
     if n_vertices < 1:
         raise ValueError(f"line {lineno}: vertex count {n_vertices} < 1")
     vertex_lines = body[1:1 + n_vertices]
@@ -275,10 +271,8 @@ def read_off(text: str) -> np.ndarray:
         parts = line.split()
         if len(parts) < 3:
             raise ValueError(f"line {lineno}: vertex needs 3 coordinates")
-        try:
-            points.append([_number(p) for p in parts[:3]])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric vertex coordinate") from None
+        points.append([_number(p, f"line {lineno}: non-numeric vertex coordinate")
+                       for p in parts[:3]])
     X = np.array(points, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite vertex coordinate in OFF input")
@@ -502,13 +496,6 @@ def save_dataset(data, directory) -> None:
         write_table(None, meta, "filename,label,class_name", rows))
 
 
-def _integer(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what} {text!r} is not an integer") from None
-
-
 def load_dataset(directory):
     """Read back a dataset directory written by save_dataset."""
     root = Path(directory)
@@ -517,9 +504,10 @@ def load_dataset(directory):
         raise ValueError(f"no manifest.csv under {root}")
     meta, table, _ = _read_table(manifest.read_text(), "filename,label,class_name",
                                  "manifest line")
-    labels = [_integer(label, f"manifest line {lineno}: label")
+    labels = [_number(label, f"manifest line {lineno}: label {label!r} is not an integer", int)
               for lineno, (_, label, _) in table]
-    seed = _integer(meta.get("seed", "0"), "manifest seed")
+    seed = meta.get("seed", "0")
+    seed = _number(seed, f"manifest seed {seed!r} is not an integer", int)
     kind = meta.get("kind")
     if kind not in KINDS:
         raise ValueError(f"manifest kind {kind!r} is not 'image' or 'cloud'")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,12 +202,21 @@ def _log_softmax(z):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _training_record(data, cfg):
+    """The untrained model train_classifier builds from data and cfg."""
+    return LinearSoftmaxModel(weights=np.zeros((data.n_classes, data.inputs[0].size)),
+                              bias=np.zeros(data.n_classes), kind=data.kind,
+                              canonicalize=cfg.canonicalize, scheme=cfg.scheme,
+                              sigma=cfg.sigma, mode=cfg.mode)
+
+
 def _worst_of_k_reference(data, cfg):
     """Adversarial training one sample at a time: each sample of a minibatch
     draws its k transforms, is featurized and scored on its own, and keeps
     the candidate of highest loss; one gradient step per minibatch follows.
     Draws and shuffles come from the trainer's seeded streams in its order."""
-    clean = featurize(cfg, data.kind, [datum for datum, _ in data.samples])
+    clean = featurize(_training_record(data, cfg), [datum for datum, _ in data.samples],
+                      training=True)
     labels = data.labels()
     W = np.zeros((data.n_classes, clean.shape[1]))
     b = np.zeros(data.n_classes)
@@ -226,8 +236,8 @@ def _worst_of_k_reference(data, cfg):
             idx = order[start:start + cfg.batch_size]
             kept = []
             for i in idx:
-                cand = featurize(cfg, data.kind,
-                                 [draw(data.samples[i][0]) for _ in range(cfg.k)])
+                cand = featurize(_training_record(data, cfg),
+                                 [draw(data.samples[i][0]) for _ in range(cfg.k)], training=True)
                 losses = -_log_softmax(cand @ W.T + b)[:, labels[i]]
                 kept.append(cand[int(np.argmax(losses))])
             kept = np.stack(kept)
@@ -329,6 +339,84 @@ class TestTrainClassifier:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="diverged"):
                 train_classifier(data, cfg)
+
+
+def _objective(W, b, adv, clean, labels, cfg):
+    """The documented objective of mixed, adversarial_alp and adversarial_kl
+    at fixed adversarial candidates: CE(adv), plus CE(clean) for mixed,
+    plus lam times the batch mean of ||z_adv - z_clean||^2 (ALP) or of
+    KL(softmax z_clean || softmax z_adv) (KL)."""
+    rows = np.arange(len(labels))
+    z_adv, z_clean = adv @ W.T + b, clean @ W.T + b
+    logq, logp = _log_softmax(z_adv), _log_softmax(z_clean)
+    loss = -logq[rows, labels].mean()
+    if cfg.mode == "mixed":
+        loss -= logp[rows, labels].mean()
+    elif cfg.mode == "adversarial_alp":
+        loss += cfg.lam * ((z_adv - z_clean) ** 2).sum(axis=1).mean()
+    else:
+        loss += cfg.lam * (np.exp(logp) * (logp - logq)).sum(axis=1).mean()
+    return loss
+
+
+def _central_difference_reference(data, cfg, h=1e-6):
+    """Train raw-coordinate cloud features by stepping along central
+    differences of _objective.  Candidates are drawn as _worst_of_k_reference
+    draws them, one sample at a time from the trainer's seeded streams."""
+    clean = data.inputs.reshape(len(data), -1)
+    labels = data.labels()
+    params = np.zeros(data.n_classes * (clean.shape[1] + 1))
+    split = data.n_classes * clean.shape[1]
+
+    def unpack(theta):
+        return theta[:split].reshape(data.n_classes, -1), theta[split:]
+
+    shuffle_rng, aug_rng = (np.random.default_rng(s)
+                            for s in np.random.SeedSequence(cfg.seed).spawn(2))
+    grid = [r for _, r in rotation_grid_3d()]
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            W, b = unpack(params)
+            kept = []
+            for i in idx:
+                cand = np.stack([(data.inputs[i] @ grid[int(aug_rng.integers(len(grid)))]).ravel()
+                                 for _ in range(cfg.k)])
+                kept.append(cand[int(np.argmax(-_log_softmax(cand @ W.T + b)[:, labels[i]]))])
+            adv = np.stack(kept)
+            grad = np.empty_like(params)
+            for j in range(len(params)):
+                step = np.zeros_like(params)
+                step[j] = h
+                grad[j] = (_objective(*unpack(params + step), adv, clean[idx], labels[idx], cfg)
+                           - _objective(*unpack(params - step), adv, clean[idx], labels[idx],
+                                        cfg)) / (2.0 * h)
+            params = params - cfg.learning_rate * grad
+    return unpack(params)
+
+
+class TestPairingGradients:
+    """The hand-derived gradients of mixed, ALP and KL step where central
+    differences of their documented objective step.  ALP's and KL's pairing
+    terms vanish at the zero start, so the runs take six steps (2 epochs of
+    3 minibatches)."""
+
+    @pytest.mark.parametrize("mode", ["mixed", "adversarial_alp", "adversarial_kl"])
+    def test_matches_central_differences(self, mode):
+        data = gen_synthetic_clouds(seed=31, n_per_class=2, n_points=8)
+        cfg = TrainConfig(mode=mode, k=3, lam=0.5, epochs=2, batch_size=3, seed=4,
+                          learning_rate=0.1)
+        model = train_classifier(data, cfg)
+        W, b = _central_difference_reference(data, cfg)
+        # The weights reach about 0.2, and the extra term moves them by more
+        # than 0.1 from plain adversarial training's.
+        adversarial = train_classifier(data, replace(cfg, mode="adversarial"))
+        assert np.abs(model.weights - adversarial.weights).max() > 0.1
+        # Measured: the two trainers agree to 1e-10; a relative tolerance of
+        # 1e-7 leaves room for the differences' rounding and nothing more.
+        np.testing.assert_allclose(model.weights, W, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(model.bias, b, rtol=1e-7, atol=1e-9)
 
 
 class TestRotationGrid:
@@ -456,9 +544,9 @@ class TestEvaluate2D:
 def _per_datum_report(model, data, audit, grid, move, scheme):
     """The audit with every datum moved on its own at each grid point."""
     labels = data.labels()
-    clean = model.predict(featurize(model, data.kind, list(data.inputs))) == labels
+    clean = model.predict(featurize(model, list(data.inputs))) == labels
     correct = np.stack([
-        model.predict(featurize(model, data.kind,
+        model.predict(featurize(model,
                                 [move(datum, parameter) for datum in data.inputs])) == labels
         for _, parameter in grid], axis=1)
     curve = correct.mean(axis=0)
@@ -655,21 +743,22 @@ class TestFeaturize:
         clouds = [rng.normal(size=(12, 3)) for _ in range(3)]
         model = LinearSoftmaxModel(weights=np.zeros((4, 36)), bias=np.zeros(4),
                                    kind="cloud", canonicalize="test_only")
-        feats = featurize(model, "cloud", clouds)
+        feats = featurize(model, clouds)
         for row, x in zip(feats, clouds):
             np.testing.assert_array_equal(row, canonicalize_similarity(x)[0].ravel())
 
     def test_image_scheme_threads_through(self):
         data = gen_synthetic_images(seed=19, n_per_class=1, size=16)
         img = data.samples[0][0]
-        a = featurize(TrainConfig(canonicalize="train_and_test", scheme="nearest"),
-                      "image", [img])
-        b = featurize(TrainConfig(canonicalize="train_and_test", scheme="bilinear"),
-                      "image", [img])
+        a = featurize(_training_record(data, TrainConfig(canonicalize="train_and_test",
+                                                         scheme="nearest")), [img], training=True)
+        b = featurize(_training_record(data, TrainConfig(canonicalize="train_and_test",
+                                                         scheme="bilinear")), [img], training=True)
         assert not np.array_equal(a, b)
 
     def test_training_skips_test_only_canonicalization(self):
         data = gen_synthetic_clouds(seed=20, n_per_class=1)
         clouds = [x for x, _ in data.samples]
-        feats = featurize(TrainConfig(canonicalize="test_only"), "cloud", clouds)
+        feats = featurize(_training_record(data, TrainConfig(canonicalize="test_only")), clouds,
+                          training=True)
         np.testing.assert_array_equal(feats, np.stack([x.ravel() for x in clouds]))

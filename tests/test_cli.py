@@ -769,3 +769,31 @@ class TestUsage:
 
     def test_no_arguments(self):
         assert run([]) == 1
+
+
+class TestMissingPaths:
+    """A missing input is named as a missing file; an output whose directory
+    does not exist names that directory.  Both exit 2."""
+
+    @pytest.mark.parametrize("command", ["train", "canon-image", "audit-scale", "curve"])
+    def test_output_under_a_missing_directory(self, tmp_path, capsys, command):
+        data = _gen(tmp_path, "clouds", per_class=1)
+        model_path, image = tmp_path / "m.bin", tmp_path / "in.pgm"
+        assert run(["train", "--data", str(data), "--epochs", "2",
+                    "--model", str(model_path)]) == 0
+        image.write_bytes(write_pgm(np.full((16, 16), 0.5)))
+        missing = tmp_path / "nodir" / "out"
+        argv = {"train": ["train", "--data", str(data), "--model", str(missing)],
+                "canon-image": ["canon-image", "--in", str(image), "--out", str(missing)],
+                "audit-scale": ["audit-scale", "--model", str(model_path), "--data", str(data),
+                                "--out", str(missing)],
+                "curve": ["curve", "--model", str(model_path), "--label", "0",
+                          "--sample", str(data / "sample_00000.xyz"), "--out", str(missing)]}
+        capsys.readouterr()
+        assert run(argv[command]) == 2
+        assert capsys.readouterr().err == f"error: missing directory: {missing.parent}\n"
+
+    def test_missing_input_is_named_as_a_file(self, tmp_path, capsys):
+        absent = tmp_path / "absent.pgm"
+        assert run(["canon-image", "--in", str(absent), "--out", str(tmp_path / "o.pgm")]) == 2
+        assert capsys.readouterr().err == f"error: missing file: {absent}\n"

@@ -9,9 +9,12 @@ import pytest
 from orbitcanon.audit import (
     LabeledDataset,
     LinearSoftmaxModel,
+    evaluate_rotation_sweep_2d,
+    evaluate_scale_sweep,
     gen_synthetic_clouds,
     gen_synthetic_images,
 )
+from orbitcanon.cli import run
 from orbitcanon.formats import (
     ReportDocument,
     load_dataset,
@@ -434,3 +437,150 @@ class TestDatasetDirectory:
         assert "# kind=cloud" in text
         assert "# seed=5" in text
         assert "# classes=shell|box|tube|cross" in text
+
+
+class TestNumberRule:
+    """PGM tokens and manifest integers are read as XYZ and OFF numbers are:
+    int() alone reads '2_55' as 255."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P2\n2 1\n2_55\n1 0\n", "non-numeric header token b'2_55'"),
+        (b"P2\n2 1\n255\n1_0 0\n", "non-numeric header token b'1_0'"),
+        (b"P5\n0_2 1\n255\n" + bytes(2), "non-numeric header token b'0_2'"),
+        ("P2\n1 1\n\u0661\n0\n".encode(), "non-numeric header token b'\\xd9\\xa1'"),
+    ], ids=["maxval", "p2-sample", "p5-width", "non-ascii"])
+    def test_pgm_tokens(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_pgm(data)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (",0,shell", ",0_0,shell", "manifest line 5: label '0_0' is not an integer"),
+        ("# seed=5", "# seed=0_5", "manifest seed '0_5' is not an integer"),
+    ], ids=["label", "seed"])
+    def test_manifest_integers(self, tmp_path, old, new, message):
+        save_dataset(gen_synthetic_clouds(seed=5, n_per_class=1, n_points=8), tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace(old, new))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_dataset(tmp_path)
+
+
+# Each refusal case is (write, read, command): write(tmp_path) puts the file
+# in place and returns its path, read(path) is the library call that refuses
+# it, and command(path, tmp_path), when a command reads such a file, is that
+# command's argv.
+
+def _put(path, payload):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload)
+    return path
+
+
+def _pgm(payload):
+    return (lambda tmp: _put(tmp / "in.pgm", payload),
+            lambda path: read_pgm(path.read_bytes()),
+            lambda path, tmp: ["canon-image", "--in", str(path), "--out", str(tmp / "o.pgm")])
+
+
+def _off(text):
+    return (lambda tmp: _put(tmp / "in.off", text),
+            lambda path: read_off(path.read_text()),
+            lambda path, tmp: ["canon-cloud", "--in", str(path), "--out", str(tmp / "o.xyz")])
+
+
+def _manifest(text):
+    return (lambda tmp: _put(tmp / "data" / "manifest.csv", text).parent,
+            load_dataset,
+            lambda path, tmp: ["train", "--data", str(path), "--model", str(tmp / "m.bin")])
+
+
+def _model(blob, data):
+    """A model file audited on data: images by audit-rot2d, clouds by audit-scale."""
+    def write(tmp):
+        save_dataset(data, tmp / "data")
+        return _put(tmp / "m.bin", blob)
+
+    evaluate, audit = ((evaluate_rotation_sweep_2d, "audit-rot2d") if data.kind == "image"
+                       else (evaluate_scale_sweep, "audit-scale"))
+    return (write,
+            lambda path: evaluate(load_model(path.read_bytes()), load_dataset(path.parent / "data")),
+            lambda path, tmp: [audit, "--model", str(path), "--data", str(path.parent / "data"),
+                               "--out", str(tmp / "r.csv")])
+
+
+def _call(call):
+    return lambda tmp: None, lambda path: call(), None
+
+
+def _without_header():
+    """A whole report preamble with no column header and no rows."""
+    text = write_report(_sample_report())
+    return "".join(line for line in text.splitlines(keepends=True) if line.startswith("#"))
+
+
+_CLOUDS = gen_synthetic_clouds(seed=0, n_per_class=1, n_points=8)
+_IMAGES = gen_synthetic_images(seed=0, n_per_class=1, size=16)
+
+REFUSALS = [
+    (_pgm(b"P"), "not a PGM file: too short", "pgm-short"),
+    (_pgm(b"P2\n0 1\n255\n"), "bad dimensions 0 x 1", "pgm-dimensions"),
+    (_pgm(b"P2\n1 1\n5\n9\n"), "sample value exceeds maxval 5", "pgm-maxval"),
+    (_call(lambda: read_idx_images(b"\x00\x00\x08")), "truncated IDX image header",
+     "idx-image-header"),
+    (_call(lambda: read_idx_labels(b"\x00")), "truncated IDX label header", "idx-label-header"),
+    (_call(lambda: read_idx_labels(struct.pack(">ii", 0x801, -1))),
+     "negative IDX dimension in (-1,)", "idx-negative"),
+    (_call(lambda: write_xyz(np.zeros((2, 2)))), "expected an N x 3 point array", "xyz-shape"),
+    (_off("# nothing\n"), "empty OFF input", "off-empty"),
+    (_off("OFF\n"), "OFF input has no counts line", "off-no-counts"),
+    (_off("OFF\n1 0\n"), "line 2: counts line needs 3 fields", "off-counts-fields"),
+    (_off("OFF\n0 0 0\n"), "line 2: vertex count 0 < 1", "off-no-vertices"),
+    (_off("OFF\n1 0 0\n1 2\n"), "line 3: vertex needs 3 coordinates", "off-vertex"),
+    (_off("OFF\n1 0 0\ninf 0 0\n"), "non-finite vertex coordinate in OFF input",
+     "off-non-finite"),
+    (_call(lambda: write_report(ReportDocument(
+        kind="scale", mode="plain", scheme="", canonicalized=False, n_samples=1, clean=1.0,
+        average=1.0, worst=1.0, grid=("1", "2"), curve=np.ones(1)))),
+     "grid and curve lengths differ", "report-lengths"),
+    (_call(lambda: read_report("# orbitcanon report v1\nindex,accuracy\n")),
+     "line 2: unexpected header 'index,accuracy'", "report-header"),
+    (_call(lambda: read_report("index,transform,accuracy\n0,1\n")),
+     "line 2: expected 3 columns", "report-columns"),
+    (_call(lambda: read_report(_without_header())), "missing column header line",
+     "report-no-header"),
+    (_manifest("# kind=cloud\nname,label,class\n"),
+     "manifest line 2: unexpected header 'name,label,class'", "manifest-header"),
+    (_manifest("# kind=cloud\nfilename,label,class_name\na.xyz,0\n"),
+     "manifest line 3: expected 3 columns", "manifest-columns"),
+    (_manifest("# kind=mesh\nfilename,label,class_name\n"),
+     "manifest kind 'mesh' is not 'image' or 'cloud'", "manifest-kind"),
+    (_manifest("# kind=cloud\n# classes=a\nfilename,label,class_name\ngone.xyz,0,a\n"),
+     "manifest references missing file gone.xyz", "manifest-missing-file"),
+    (_call(lambda: save_model(LinearSoftmaxModel(weights=np.zeros((2, 3)), bias=np.zeros(3),
+                                                 kind="cloud"))),
+     "weights must be C x F with a length-C bias", "model-shapes"),
+    (_model(b"OCLM0001", _CLOUDS), "truncated model file", "model-truncated"),
+    (_model(save_model(LinearSoftmaxModel(weights=np.zeros((4, 12)), bias=np.zeros(4),
+                                          kind="image")), _IMAGES),
+     "the model takes images of 12 features, not 16 x 16 rasters", "model-image-features"),
+    (_model(save_model(LinearSoftmaxModel(weights=np.zeros((4, 10)), bias=np.zeros(4),
+                                          kind="cloud")), _CLOUDS),
+     "the model takes clouds of 10 features, not 8-point clouds", "model-cloud-features"),
+]
+
+
+@pytest.mark.parametrize("case, message", [pytest.param(case, message, id=name)
+                                            for case, message, name in REFUSALS])
+def test_every_refusal_at_the_file_boundary(tmp_path, capsys, case, message):
+    """Each refusal names its input exactly; where a command reads the file,
+    the command prints that message and exits 2."""
+    write, read, command = case
+    path = write(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(path)
+    if command is not None:
+        assert run(command(path, tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
