@@ -252,16 +252,31 @@ def gen_synthetic_images(seed: int, n_per_class: int = 12,
 # Model and transforms
 
 
-@dataclass
+def _check_settings(canonicalize, scheme, sigma, mode, schemes=(None,) + SCHEMES):
+    """Refuse a canonicalize setting, scheme (one of schemes), blur sigma or
+    training mode that a model cannot record."""
+    if canonicalize not in CANON_MODES:
+        raise ValueError(f"unknown canonicalize mode {canonicalize!r}")
+    if scheme not in schemes:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"model sigma {sigma!r} is not a positive finite number")
+    if mode not in MODES:
+        raise ValueError(f"unknown training mode {mode!r}")
+
+
+@dataclass(frozen=True)
 class LinearSoftmaxModel:
     """Linear softmax classifier on flattened features.
 
     kind fixes the feature layout (raveled pixels for images, raveled
     fixed-order coordinates for clouds); canonicalize records whether
     inputs pass through the canonicalizer never, at both train and test
-    time, or at test time only.  scheme and sigma parameterize the image
-    canonicalizer, and mode records how the model was trained; all are
-    carried so a saved model audits identically after loading.
+    time, or at test time only.  scheme (None when unset) and sigma
+    parameterize the image canonicalizer, and mode records how the model
+    was trained; all are carried so a saved model audits identically after
+    loading.  Every field is checked here, once, and none can be reassigned;
+    weights and bias are kept as float copies, which the trainer fits in place.
     """
 
     weights: np.ndarray
@@ -271,6 +286,19 @@ class LinearSoftmaxModel:
     scheme: str | None = None
     sigma: float = 1.0
     mode: str = "plain"
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        _check_settings(self.canonicalize, self.scheme, self.sigma, self.mode)
+        weights = np.array(self.weights, dtype=float)
+        bias = np.array(self.bias, dtype=float)
+        if weights.ndim != 2 or bias.shape != (len(weights),):
+            raise ValueError("weights must be C x F with a length-C bias")
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+            raise ValueError("model weights or bias contain non-finite values")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias", bias)
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         return features @ self.weights.T + self.bias
@@ -296,8 +324,6 @@ class TrainConfig:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.seed < 0:
@@ -308,12 +334,7 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if self.canonicalize not in CANON_MODES:
-            raise ValueError(f"bad canonicalize setting {self.canonicalize!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
+        _check_settings(self.canonicalize, self.scheme, self.sigma, self.mode, SCHEMES)
 
 
 def rotation_about(axis: int, angle: float) -> np.ndarray:
@@ -474,8 +495,8 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
                 # L2 on the weights only; the bias stays free, which is what
                 # leaves a scale-independent term in the logits.
                 gW += cfg.weight_decay * model.weights
-            model.weights -= cfg.learning_rate * gW
-            model.bias -= cfg.learning_rate * gb
+            model.weights[...] -= cfg.learning_rate * gW
+            model.bias[...] -= cfg.learning_rate * gb
         if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
             raise ValueError(
                 f"training diverged at epoch {epoch}: non-finite parameters "

@@ -25,6 +25,12 @@ _IDX_LABELS_MAGIC = 0x00000801
 
 _MODEL_MAGIC = b"OCLM0001"
 _MODEL_HEAD = "<8sBBBBd II"
+# The code bytes of a model file's head, in head order: the model field each
+# encodes, the table its code indexes and the noun that names a bad code.  An
+# unset scheme is written as _UNSET.
+_MODEL_CODES = (("kind", KINDS, "model kind"), ("canonicalize", CANON_MODES, "canonicalize"),
+                ("scheme", SCHEMES, "scheme"), ("mode", MODES, "training mode"))
+_UNSET = 255
 
 _F17 = "{:.17g}".format
 
@@ -358,14 +364,12 @@ def _read_table(text: str, header: str, where: str):
 
 
 def read_report(text: str) -> ReportDocument:
-    """Parse a report written by write_report, validating structure."""
+    """Parse a report written by write_report, validating structure; its
+    numbers are read as _number reads them."""
     meta, table, saw_header = _read_table(text, "index,transform,accuracy", "line")
-    rows: list[tuple[int, str, float]] = []
-    for lineno, parts in table:
-        try:
-            rows.append((int(parts[0]), parts[1], float(parts[2])))
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed row") from None
+    rows = [(_number(index, f"line {lineno}: malformed row", int), label,
+             _number(accuracy, f"line {lineno}: malformed row"))
+            for lineno, (index, label, accuracy) in table]
     missing = [k for k in _REPORT_KEYS if k not in meta]
     if missing:
         raise ValueError(f"missing metadata keys: {', '.join(missing)}")
@@ -381,10 +385,10 @@ def read_report(text: str) -> ReportDocument:
         mode=meta["mode"],
         scheme=meta["scheme"],
         canonicalized=meta["canonicalized"] == "true",
-        n_samples=int(meta["n_samples"]),
-        clean=float(meta["clean"]),
-        average=float(meta["average"]),
-        worst=float(meta["worst"]),
+        n_samples=_number(meta["n_samples"],
+                          f"report n_samples {meta['n_samples']!r} is not an integer", int),
+        **{key: _number(meta[key], f"report {key} {meta[key]!r} is not a number")
+           for key in ("clean", "average", "worst")},
         grid=tuple(label for _, label, _ in rows),
         curve=np.array([acc for _, _, acc in rows], dtype=float),
     )
@@ -394,78 +398,43 @@ def read_report(text: str) -> ReportDocument:
 # Model files
 
 
-def save_model(model) -> bytes:
+def save_model(model: LinearSoftmaxModel) -> bytes:
     """Serialize a linear softmax model to a versioned little-endian blob.
 
-    Layout after the 8-byte magic: kind, canonicalize-mode, scheme and
-    training-mode codes (one byte each, scheme 255 when unset), blur
-    sigma as f8, the class and feature counts as u32, then row-major f8
-    weights and the f8 bias vector.  The codes index audit.KINDS,
-    audit.CANON_MODES, image.SCHEMES and audit.MODES.
+    Layout after the 8-byte magic: the _MODEL_CODES code bytes (kind,
+    canonicalize mode, scheme and training mode; 255 for an unset scheme),
+    blur sigma as f8, the class and feature counts as u32, then row-major
+    f8 weights and the f8 bias vector.  The model validated its own fields.
     """
-    if model.kind not in KINDS:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    if model.canonicalize not in CANON_MODES:
-        raise ValueError(f"unknown canonicalize mode {model.canonicalize!r}")
-    if model.scheme not in (None,) + SCHEMES:
-        raise ValueError(f"unknown scheme {model.scheme!r}")
-    if model.mode not in MODES:
-        raise ValueError(f"unknown training mode {model.mode!r}")
-    scheme_code = 255 if model.scheme is None else SCHEMES.index(model.scheme)
-    W = np.asarray(model.weights, dtype=float)
-    b = np.asarray(model.bias, dtype=float)
-    if W.ndim != 2 or b.shape != (W.shape[0],):
-        raise ValueError("weights must be C x F with a length-C bias")
-    head = struct.pack(
-        _MODEL_HEAD,
-        _MODEL_MAGIC,
-        KINDS.index(model.kind),
-        CANON_MODES.index(model.canonicalize),
-        scheme_code,
-        MODES.index(model.mode),
-        float(model.sigma),
-        W.shape[0],
-        W.shape[1],
-    )
-    return head + W.astype("<f8").tobytes(order="C") + b.astype("<f8").tobytes()
+    codes = [_UNSET if getattr(model, field) is None else table.index(getattr(model, field))
+             for field, table, _ in _MODEL_CODES]
+    head = struct.pack(_MODEL_HEAD, _MODEL_MAGIC, *codes, model.sigma, *model.weights.shape)
+    return head + model.weights.astype("<f8").tobytes() + model.bias.astype("<f8").tobytes()
 
 
-def load_model(data: bytes):
-    """Deserialize a model written by save_model; see there for the layout."""
+def load_model(data: bytes) -> LinearSoftmaxModel:
+    """Deserialize a model written by save_model; see there for the layout.
+
+    Checks what only the file knows (magic, code ranges, length); the model
+    refuses a bad sigma and non-finite weights."""
     head_size = struct.calcsize(_MODEL_HEAD)
     if len(data) < head_size:
         raise ValueError("truncated model file")
-    magic, kind_code, canon_code, scheme_code, mode_code, sigma, n_classes, \
-        n_features = struct.unpack(_MODEL_HEAD, data[:head_size])
+    magic, *codes, sigma, n_classes, n_features = struct.unpack(_MODEL_HEAD, data[:head_size])
     if magic != _MODEL_MAGIC:
         raise ValueError(f"bad model magic {magic!r}")
-    if kind_code >= len(KINDS):
-        raise ValueError(f"bad model kind code {kind_code}")
-    if canon_code >= len(CANON_MODES):
-        raise ValueError(f"bad canonicalize code {canon_code}")
-    if scheme_code != 255 and scheme_code >= len(SCHEMES):
-        raise ValueError(f"bad scheme code {scheme_code}")
-    if mode_code >= len(MODES):
-        raise ValueError(f"bad training mode code {mode_code}")
+    settings = {}
+    for code, (field, table, noun) in zip(codes, _MODEL_CODES):
+        if code >= len(table) and (field, code) != ("scheme", _UNSET):
+            raise ValueError(f"bad {noun} code {code}")
+        settings[field] = table[code] if code < len(table) else None
     need = head_size + 8 * (n_classes * n_features + n_classes)
     if len(data) != need:
         raise ValueError(f"model file is {len(data)} bytes, expected {need}")
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"model sigma {sigma!r} is not a positive finite number")
     flat = np.frombuffer(data[head_size:], dtype="<f8")
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("model weights or bias contain non-finite values")
-    W = flat[:n_classes * n_features].reshape(n_classes, n_features).copy()
-    b = flat[n_classes * n_features:].copy()
     return LinearSoftmaxModel(
-        weights=W,
-        bias=b,
-        kind=KINDS[kind_code],
-        canonicalize=CANON_MODES[canon_code],
-        scheme=None if scheme_code == 255 else SCHEMES[scheme_code],
-        sigma=sigma,
-        mode=MODES[mode_code],
-    )
+        weights=flat[:n_classes * n_features].reshape(n_classes, n_features),
+        bias=flat[n_classes * n_features:], sigma=sigma, **settings)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Tests for synthetic data generators, training modes, and the sweep reports."""
 
 import math
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -149,8 +150,10 @@ class TestLabeledDataset:
         ("cloud", [np.zeros((4, 3))], [2], "label 2 outside"),
         ("cloud", [np.zeros((4, 3))], [-1], "label -1 outside"),
         ("cloud", [np.zeros((4, 2))], [0], "expected cloud data"),
+        ("mesh", [np.zeros((4, 3))], [0], "^kind must be 'image' or 'cloud', got 'mesh'$"),
+        ("cloud", [np.zeros((4, 3))] * 2, [0], "^2 data but 1 labels$"),
     ], ids=["empty", "point-counts", "raster-sizes", "inf", "nan", "label-high",
-            "label-negative", "cloud-shape"])
+            "label-negative", "cloud-shape", "kind", "label-count"])
     def test_rejects_invalid_data(self, kind, inputs, targets, message):
         with pytest.raises(ValueError, match=message):
             LabeledDataset(kind, inputs, targets, ("a", "b"), 0)
@@ -195,6 +198,64 @@ class TestTrainConfig:
     def test_mode_list(self):
         assert MODES == ("plain", "random_augment", "adversarial", "mixed",
                          "adversarial_alp", "adversarial_kl")
+
+
+def _record(**fields):
+    """A valid two-class cloud model of 3 features with fields overridden."""
+    return LinearSoftmaxModel(**{"weights": np.zeros((2, 3)), "bias": np.zeros(2),
+                                 "kind": "cloud", **fields})
+
+
+class TestModelRecord:
+    """LinearSoftmaxModel refuses every field it cannot carry, once, when built."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"kind": "mesh"}, "unknown model kind 'mesh'"),
+        ({"canonicalize": "on"}, "unknown canonicalize mode 'on'"),
+        ({"scheme": "lanczos"}, "unknown scheme 'lanczos'"),
+        ({"mode": "whatever"}, "unknown training mode 'whatever'"),
+        ({"sigma": 0.0}, "model sigma 0.0 is not a positive finite number"),
+        ({"sigma": -1.0}, "model sigma -1.0 is not a positive finite number"),
+        ({"sigma": math.nan}, "model sigma nan is not a positive finite number"),
+        ({"sigma": math.inf}, "model sigma inf is not a positive finite number"),
+        ({"weights": np.zeros(3)}, "weights must be C x F with a length-C bias"),
+        ({"bias": np.zeros(3)}, "weights must be C x F with a length-C bias"),
+        ({"weights": np.array([[0.0, math.nan, 0.0], [0.0, 0.0, 0.0]])},
+         "model weights or bias contain non-finite values"),
+        ({"bias": np.array([0.0, -math.inf])}, "model weights or bias contain non-finite values"),
+    ], ids=["kind", "canonicalize", "scheme", "mode", "sigma-zero", "sigma-negative",
+            "sigma-nan", "sigma-inf", "weights-1d", "bias-length", "weight-nan", "bias-inf"])
+    def test_refuses(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _record(**fields)
+
+    def test_unknown_canonicalize_never_reaches_an_audit(self):
+        """A model that would canonicalize nothing yet report canonicalized=true
+        is refused before the audit runs."""
+        data = gen_synthetic_clouds(seed=0, n_per_class=1, n_points=8)
+        with pytest.raises(ValueError, match="^unknown canonicalize mode 'on'$"):
+            evaluate_rotation_grid_3d(LinearSoftmaxModel(np.zeros((4, 24)), np.zeros(4),
+                                                         kind="cloud", canonicalize="on",
+                                                         mode="whatever"), data)
+
+    def test_fields_are_frozen_and_arrays_copied(self):
+        weights = np.zeros((2, 3))
+        model = _record(weights=weights, scheme=None)
+        with pytest.raises(FrozenInstanceError):
+            model.canonicalize = "on"
+        weights[0, 0] = 1.0
+        assert model.weights[0, 0] == 0.0 and model.weights.flags.writeable
+
+    def test_train_config_shares_the_settings_check(self):
+        """TrainConfig refuses a setting with the model's words; only a model's
+        scheme may be unset."""
+        for fields in ({"canonicalize": "on"}, {"mode": "sgd"}, {"sigma": math.inf}):
+            with pytest.raises(ValueError) as config_error:
+                TrainConfig(**fields)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(config_error.value))}$"):
+                _record(**fields)
+        with pytest.raises(ValueError, match="^unknown scheme None$"):
+            TrainConfig(scheme=None)
 
 
 def _log_softmax(z):
@@ -420,6 +481,10 @@ class TestPairingGradients:
 
 
 class TestRotationGrid:
+    def test_rotation_about_refuses_a_fourth_axis(self):
+        with pytest.raises(ValueError, match="^axis must be 0, 1 or 2, got 3$"):
+            rotation_about(3, 0.0)
+
     def test_rotation_about_is_orthonormal(self):
         for axis in (0, 1, 2):
             rot = rotation_about(axis, 0.7)
@@ -647,8 +712,7 @@ class TestSweepStack:
         inputs[5 % n_clouds, :, 0] = np.linspace(450.0, 549.0, 64).round() * 2.0 ** -1074
         data = LabeledDataset(kind="cloud", inputs=inputs, targets=data.targets[:n_clouds],
                               class_names=data.class_names, seed=0)
-        model = _constant_model(data)
-        model.canonicalize = "test_only"
+        model = replace(_constant_model(data), canonicalize="test_only")
         assert SWEEP_CHUNK_FLOATS // data.inputs.size > 32
         with pytest.raises(DegenerateCloudError,
                            match=f"^{named}every point is at the origin"):
@@ -660,8 +724,7 @@ class TestSweepStack:
         SWEEP_CHUNK_FLOATS = 61440, 6.5 MB at twice that and 87 MB for the
         whole grid at once."""
         data = gen_synthetic_clouds(seed=25, n_per_class=10)
-        model = _constant_model(data)
-        model.canonicalize = "test_only"
+        model = replace(_constant_model(data), canonicalize="test_only")
         evaluate_rotation_grid_3d(model, gen_synthetic_clouds(seed=25, n_per_class=1))
         tracemalloc.start()
         try:

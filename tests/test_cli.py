@@ -309,6 +309,13 @@ class TestGenData:
         assert not out.exists()
         assert "--seed" in capsys.readouterr().err
 
+    def test_no_samples_per_class_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run(["gen-data", "--kind", "clouds", "--seed", "0", "--per-class", "0",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --per-class must be >= 1\n")
+
     def test_byte_deterministic(self, tmp_path):
         a = _gen(tmp_path, "clouds", seed=7, per_class=2)
         b_dir = tmp_path / "again"

@@ -621,6 +621,13 @@ class TestPCAFrameOfAStack:
         with pytest.raises(ValueError, match="^this frame takes points of shape P x 3, got"):
             one.transform(stack)
 
+    def test_transform_refuses_non_finite_points(self):
+        cloud = np.random.default_rng(224).normal(size=(8, 3))
+        _, frame = canonicalize_similarity(cloud)
+        cloud[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^point cloud contains non-finite coordinates$"):
+            frame.transform(cloud)
+
     def test_equivariant_canon_over_the_rotation_grid(self):
         """Conjugating an inner map by the canonicalizer commutes with all 256
         grid rotations, every rotated copy in one call: G(x R) = G(x) R."""

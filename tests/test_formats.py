@@ -231,6 +231,11 @@ def _sample_report():
                           worst=float(curve.min()), grid=grid, curve=curve)
 
 
+def _set_line(prefix, line):
+    """An edit of report lines that replaces the one starting with prefix."""
+    return lambda lines: [line if old.startswith(prefix) else old for old in lines]
+
+
 class TestReportDocument:
     def test_roundtrip_exact(self):
         doc = _sample_report()
@@ -266,7 +271,14 @@ class TestReportDocument:
          "bad canonicalized flag 'yes'"),
         (lambda lines: lines[:10] + ["0,0,x"] + lines[11:], "line 11: malformed row"),
         (lambda lines: lines[:-2] + lines[:-3:-1], "row index 8 out of order (expected 7)"),
-    ], ids=["missing-key", "flag", "malformed-row", "row-order"])
+        (_set_line("# n_samples=", "# n_samples=4_0"), "report n_samples '4_0' is not an integer"),
+        (_set_line("# clean=", "# clean=x"), "report clean 'x' is not a number"),
+        (_set_line("# average=", "# average=0.5_0"), "report average '0.5_0' is not a number"),
+        (_set_line("# worst=", "# worst=\u0660.5"), "report worst '\u0660.5' is not a number"),
+        (_set_line("0,", "0_0,scale_0,0.5"), "line 11: malformed row"),
+        (_set_line("0,", "0,scale_0,1_0"), "line 11: malformed row"),
+    ], ids=["missing-key", "flag", "malformed-row", "row-order", "n-samples", "clean",
+            "average", "worst", "row-index", "row-accuracy"])
     def test_reader_messages(self, edit, message):
         lines = write_report(_sample_report()).splitlines()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -396,11 +408,10 @@ class TestModelBlob:
         ("mode", "ra", "unknown training mode 'ra'"),
     ])
     def test_save_field_messages(self, field, value, message):
-        model = LinearSoftmaxModel(weights=np.zeros((2, 2)), bias=np.zeros(2),
-                                   kind="image", scheme="bilinear")
-        setattr(model, field, value)
+        """A field no model file could encode cannot make a model to save."""
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            save_model(model)
+            LinearSoftmaxModel(weights=np.zeros((2, 2)), bias=np.zeros(2),
+                               **{"kind": "image", "scheme": "bilinear", field: value})
 
 
 class TestDatasetDirectory:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,26 @@ class TestGroupAxioms:
         )
         with pytest.raises(GroupAxiomError):
             check_group_axioms(bad, [np.ones((2, 2))])
+
+    @pytest.mark.parametrize("elements, apply, message", [
+        ((0, 1, 2, 3), lambda g, x: np.rot90(x, g + 1),
+         "identity does not act as the identity map"),
+        ((0, 1), lambda g, x: np.rot90(x, g), "inverse of 1 is not listed"),
+        ((0, 1, 3), lambda g, x: np.rot90(x, g), "composition of 1, 1 is not listed"),
+        ((0, 1, 2, 3), lambda g, x: np.rot90(x, g * g),
+         "action is not compatible with composition at (1, 1)"),
+    ], ids=["identity-action", "inverse-unlisted", "composition-unlisted", "incompatible"])
+    def test_axiom_violation_messages(self, elements, apply, message):
+        """Each violation check_group_axioms can find, on a group of quarter
+        turns (compose adds mod 4) broken in one way."""
+        bad = FiniteGroup(elements=elements, apply=apply, compose=lambda g, h: (g + h) % 4,
+                          inverse=lambda g: (-g) % 4, identity=0)
+        with pytest.raises(GroupAxiomError, match=f"^{re.escape(message)}$"):
+            check_group_axioms(bad, [np.arange(16.0).reshape(4, 4)])
+
+    def test_symmetric_group_of_nothing_refused(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            symmetric_group(0)
 
     def test_symmetric_group_size(self):
         assert len(symmetric_group(4).elements) == 24

@@ -174,6 +174,12 @@ class TestSmoothImageModel:
         g = model.gradient(np.array([1.0, 0.125]))
         assert g[0] == 0.0
 
+    def test_refuses_points_without_two_coordinates(self):
+        model = SmoothImageModel(GrayImage(np.zeros((4, 4))))
+        with pytest.raises(ValueError, match=r"^points must have a trailing axis of size 2 "
+                                             r"\(z1, z2\)$"):
+            model.value(np.zeros((5, 3)))
+
     def test_vertical_ramp_gradient(self):
         model = SmoothImageModel(_ramp_z1(32))
         rng = np.random.default_rng(302)
