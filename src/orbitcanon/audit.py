@@ -52,8 +52,10 @@ SCALE_FACTORS = (0.001, 0.01, 0.1, 0.5, 1.0, 5.0, 10.0, 100.0, 1000.0)
 
 GRID_STEPS_3D = 16
 
-# Floats an audit featurizes per call, in whole grid points (at least one):
-# 8 of 40 64-point clouds.  16 took 9% more memory, 4 ran 17% slower.
+# Floats an audit moves and featurizes per call, in whole grid points (at
+# least one): 8 of 40 64-point clouds.  On the 3-D and scale audits of those,
+# 16 took 11-13% longer and twice the traced peak (4.7 MB, not 2.4 MB), and
+# 4 ran 3-4% slower (numpy 2.4, 2-core x86 guest).
 SWEEP_CHUNK_FLOATS = 61440
 
 _CLOUD_CLASSES = ("shell", "box", "tube", "cross")
@@ -272,11 +274,12 @@ class LinearSoftmaxModel:
     kind fixes the feature layout (raveled pixels for images, raveled
     fixed-order coordinates for clouds); canonicalize records whether
     inputs pass through the canonicalizer never, at both train and test
-    time, or at test time only.  scheme (None when unset) and sigma
-    parameterize the image canonicalizer, and mode records how the model
-    was trained; all are carried so a saved model audits identically after
-    loading.  Every field is checked here, once, and none can be reassigned;
-    weights and bias are kept as float copies, which the trainer fits in place.
+    time, or at test time only.  scheme (None when unset, which an image
+    model that canonicalizes may not be) and sigma parameterize the image
+    canonicalizer, and mode records how the model was trained; all are
+    carried so a saved model audits identically after loading.  Every field
+    is checked here, once, and none can be reassigned; weights and bias are
+    kept as float copies, which the trainer fits in place.
     """
 
     weights: np.ndarray
@@ -291,6 +294,8 @@ class LinearSoftmaxModel:
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         _check_settings(self.canonicalize, self.scheme, self.sigma, self.mode)
+        if self.kind == "image" and self.canonicalize != "off" and self.scheme is None:
+            raise ValueError("an image model that canonicalizes needs a scheme")
         weights = np.array(self.weights, dtype=float)
         bias = np.array(self.bias, dtype=float)
         if weights.ndim != 2 or bias.shape != (len(weights),):
@@ -376,7 +381,7 @@ def featurize(model, data, training: bool = False) -> np.ndarray:
     if model.canonicalize == "train_and_test" or (
             model.canonicalize == "test_only" and not training):
         data = (canonicalize_clouds(data) if model.kind == "cloud" else
-                canonicalize_images(data, model.scheme or "bilinear", model.sigma)).canonical
+                canonicalize_images(data, model.scheme, model.sigma)).canonical
     feats = data.reshape(len(data), -1)
     if feats.shape[1] != model.weights.shape[1]:
         raise ValueError(f"the model takes {_sized(model.kind, model.weights.shape[1])}, "
@@ -557,11 +562,13 @@ class AuditReport(ReportDocument):
 
 
 def _sweep(model, data, audit, kind, grid, move, scheme) -> AuditReport:
-    """Audit model on the data stack moved by move(inputs, parameter) at
-    every (label, parameter) of grid.  audit names the transform family in
-    the report and kind the data it is defined for.  Grid points are
-    featurized SWEEP_CHUNK_FLOATS at a time but predicted one at a time,
-    so every logit is the one a grid point alone gives."""
+    """Audit model on the data stack moved by move(inputs, parameters) to every
+    (label, parameter) of grid.  audit names the transform family in the
+    report and kind the data it is defined for.  Grid points go
+    SWEEP_CHUNK_FLOATS at a time: move takes the chunk's G parameters and
+    returns one stack (G, N, ...) of the moved data, which is featurized in
+    one call but predicted one grid point at a time, so every logit is the
+    one a grid point alone gives."""
     if data.kind != kind:
         raise ValueError(f"the {audit} audit is defined for {kind} data, "
                          f"not {data.kind} data")
@@ -570,17 +577,18 @@ def _sweep(model, data, audit, kind, grid, move, scheme) -> AuditReport:
     labels = data.labels()
     clean_pred = model.predict(featurize(model, data.inputs))
     clean = float(np.mean(clean_pred == labels))
+    parameters = np.array([parameter for _, parameter in grid])
     step = max(1, SWEEP_CHUNK_FLOATS // data.inputs.size)
     correct = np.empty((len(data), len(grid)), dtype=bool)
     for start in range(0, len(grid), step):
-        chunk = [move(data.inputs, parameter) for _, parameter in grid[start:start + step]]
+        moved = move(data.inputs, parameters[start:start + step])
         try:
-            feats = featurize(model, np.concatenate(chunk))
+            feats = featurize(model, moved.reshape((-1,) + data.inputs.shape[1:]))
         except ValueError:  # name the datum as its grid point alone does
-            for moved in chunk:
-                featurize(model, moved)
+            for stack in moved:
+                featurize(model, stack)
             raise
-        for gi, rows in enumerate(np.split(feats, len(chunk)), start):
+        for gi, rows in enumerate(np.split(feats, len(moved)), start):
             correct[:, gi] = model.predict(rows) == labels
     curve = correct.mean(axis=0)
     per_sample_worst = correct.all(axis=1)
@@ -604,19 +612,23 @@ def evaluate_rotation_sweep_2d(model, data: LabeledDataset,
     """
     grid = [(str(deg), math.radians(deg)) for deg in range(360)]
     return _sweep(model, data, "rotation2d", "image", grid,
-                  lambda img, angle: rotate_image(img, angle, scheme), scheme)
+                  lambda rasters, angles: rotate_image(
+                      np.broadcast_to(rasters, angles.shape + rasters.shape), angles, scheme),
+                  scheme)
 
 
 def evaluate_rotation_grid_3d(model, data: LabeledDataset) -> AuditReport:
     """Accuracy under the full 3-D rotation grid (see rotation_grid_3d)."""
+    # One (P x 3) @ (3 x 3) product per cloud and rotation, as np.matmul(clouds, R) makes.
     return _sweep(model, data, "rotation3d", "cloud", rotation_grid_3d(),
-                  np.matmul, "")
+                  lambda clouds, rotations: np.matmul(clouds[None], rotations[:, None]), "")
 
 
 def evaluate_scale_sweep(model, data: LabeledDataset) -> AuditReport:
     """Accuracy under global rescaling of cloud coordinates."""
     grid = [(f"{s:g}", s) for s in SCALE_FACTORS]
-    return _sweep(model, data, "scale", "cloud", grid, np.multiply, "")
+    return _sweep(model, data, "scale", "cloud", grid,
+                  lambda clouds, factors: clouds[None] * factors[:, None, None, None], "")
 
 
 def softmax_curve(model, sample, angles, scheme: str = "bilinear") -> np.ndarray:

@@ -54,10 +54,13 @@ def _first_bad(bad: np.ndarray, error: type, problem: str) -> None:
         raise error(f"{where}{problem}")
 
 
-def _point_norms(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(X, axis=2), bit for bit, without its length-3 reduce."""
-    s = X * X
-    return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
+def _point_norms(X: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """np.linalg.norm(X, axis=2), bit for bit, without its length-3 reduce; the
+    squares go into work, an array of X's shape, when given."""
+    s = np.multiply(X, X, out=work)
+    norms = s[..., 0] + s[..., 1]
+    norms += s[..., 2]
+    return np.sqrt(norms, out=norms)
 
 
 def _centroid(X: np.ndarray) -> np.ndarray:
@@ -162,10 +165,11 @@ class PCAFrame:
 
 
 def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
-           scale: np.ndarray) -> tuple[np.ndarray, PCAFrame]:
+           scale: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, PCAFrame]:
     """Rotate each centered, unit-scaled cloud of a validated stack (N, P, 3)
     onto its principal axes, deterministically; the frame records the
-    centroids and scales already removed from X.
+    centroids and scales already removed from X.  The canonical clouds are
+    made in work, an array of X's shape, which is returned.
 
     The eigenvectors V of X^T X (descending eigenvalues) fix the axes; the
     leftover per-axis sign freedom is pinned by requiring the reference
@@ -184,9 +188,9 @@ def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
     cloud: the eigenvectors of (XR)^T (XR) are R^T V up to column signs,
     and the sign rule cancels that remaining freedom.
     """
-    norms = _point_norms(X)
+    norms = _point_norms(X, work)
     w, V = _eigh_descending(X.transpose(0, 2, 1) @ X)  # symmetric to rounding
-    P = X @ V
+    P = np.matmul(X, V, out=work)
     sign_tol = SIGN_RTOL * np.maximum(norms.mean(axis=1), 1e-300)[:, None]
 
     degenerate = np.any(w[:, :-1] - w[:, 1:]
@@ -214,7 +218,9 @@ def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
     reflected = np.linalg.det(V * signs[:, None, :]) < 0.0
     signs[reflected, 2] = -signs[reflected, 2]
 
-    canonical = P * signs[:, None, :]
+    # P * signs, in place: x * -1 is -x exactly, so the columns of sign -1 are negated.
+    for k in range(3):
+        np.negative(P[:, :, k], out=P[:, :, k], where=signs[:, k, None] < 0.0)
     frame = PCAFrame(
         centroid=centroid,
         scale=scale,
@@ -223,7 +229,7 @@ def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
         singular_values=np.sqrt(np.maximum(w, 0.0)),
         degenerate=degenerate,
     )
-    return canonical, frame
+    return P, frame
 
 
 def canonicalize_similarity(points, sign_reference: str = "first"
@@ -273,13 +279,16 @@ def canonicalize_clouds(clouds, sign_reference: str = "first") -> CanonResult:
     e = np.frexp(top)[1]
     X = np.ldexp(X, -e[:, None, None])
     centroid = _centroid(X)
-    X -= centroid[:, None, :]
+    # One coordinate at a time: an (N, 1, 3) operand would be looped 3 floats at a time.
+    for k in range(3):
+        X[:, :, k] -= centroid[:, k, None]
     # Coincident points center to zeros, or to +-1 ulp where their mean rounds.
     _first_bad(np.all(X[:, 1:] == X[:, :-1], axis=(1, 2)), DegenerateCloudError,
                "every point is at the origin; no scale to remove")
     spread = np.frexp(np.abs(X).max(axis=(1, 2)))[1]
     np.ldexp(X, -spread[:, None, None], out=X)
-    scale = _point_norms(X).mean(axis=1)
+    work = np.empty_like(X)
+    scale = _point_norms(X, work).mean(axis=1)
     with np.errstate(over="ignore"):
         restored = np.ldexp(scale, e + spread)
     _first_bad(np.isinf(restored), ValueError,
@@ -289,5 +298,5 @@ def canonicalize_clouds(clouds, sign_reference: str = "first") -> CanonResult:
     if sign_reference not in ("first", "max_norm"):
         raise ValueError(f"unknown sign_reference {sign_reference!r}")
     X /= scale[:, None, None]
-    canonical, frame = _align(X, sign_reference, np.ldexp(centroid, e[:, None]), restored)
+    canonical, frame = _align(X, sign_reference, np.ldexp(centroid, e[:, None]), restored, work)
     return CanonResult(canonical, frame, frame.degenerate, frame.singular_values[:, 0] ** 2)

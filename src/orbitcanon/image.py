@@ -331,8 +331,10 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     """Rotate image content counter-clockwise by alpha about the center.
 
     img is a square raster (n, n) or a stack of them (..., n, n), rotated
-    CHUNK_PIXELS at a time; alpha is one angle, or one per raster (shape
-    img.shape[:-2]), and each raster comes out as it would alone, bit for bit.
+    CHUNK_PIXELS at a time.  alpha is one angle, or an array whose shape
+    leads img.shape[:-2]: one angle per raster (shape img.shape[:-2]) or
+    per group of rasters (shape img.shape[:k], each angle turning the
+    rasters under it).  Each raster comes out as it would alone, bit for bit.
     Resamples by inverse mapping: each output pixel center is rotated back
     by alpha and the source raster is sampled there with the requested
     scheme (nearest, bilinear, or bicubic with the Catmull-Rom kernel).
@@ -341,8 +343,8 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     Output values are clamped to [0, 1], and alpha = 0 reproduces a
     raster in [0, 1] bit for bit under every scheme.  The geometry of an
     angle (_rotation_taps) and the index of each pixel's first tap in the
-    chunk are built once per call for a shared angle, and once per chunk
-    for one angle per raster.
+    chunk are built once per angle for a group of rasters, and once per
+    chunk for one angle per raster.
     Only constants of the raster size are cached across calls, read-only:
     the centred offset grids and the edge-pad index.
     """
@@ -352,25 +354,27 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if not np.all(np.isfinite(alpha)):
         raise ValueError(f"rotation angles must be finite, got {alpha[~np.isfinite(alpha)]}")
-    if alpha.ndim and alpha.shape != p.shape[:-2]:
+    if alpha.ndim > p.ndim - 2 or alpha.shape != p.shape[:alpha.ndim]:
         raise ValueError(f"expected one angle per raster, {p.shape[:-2]}, got {alpha.shape}")
     # math's cos and sin, as for one angle: numpy's may round differently.
     ca, sa = (np.array([f(a) for a in alpha.flat])[:, None, None] for f in (math.cos, math.sin))
-    stack = p.reshape(-1, n, n)
-    out = np.empty(stack.shape)
-    shared = None if alpha.ndim else _rotation_taps(n, ca, sa, scheme)
-    at = None
-    for s in _chunks(len(stack), n * n):
-        chunk = stack[s]
-        if shared is None:
+    # The rasters of each angle; a broadcast stack stays a view.
+    groups = p.reshape((alpha.size, math.prod(p.shape[alpha.ndim:-2]), n, n))
+    out = np.empty(groups.shape)
+    if groups.shape[1] == 1:
+        stack, into = groups[:, 0], out[:, 0]
+        for s in _chunks(len(stack), n * n):
             # A temporary table, so that no chunk's table outlives its resampling.
-            _resample(chunk, _rotation_taps(n, ca[s], sa[s], scheme), out[s])
-        else:
-            # The first chunk is the longest; a shorter last one reads the index of its
-            # leading rasters.
-            if at is None:
-                at = _tap_index(shared, len(chunk))
-            _resample(chunk, shared, out[s], at[:len(chunk)])
+            _resample(stack[s], _rotation_taps(n, ca[s], sa[s], scheme), into[s])
+    else:
+        for g, (group, into) in enumerate(zip(groups, out)):
+            shared, at = _rotation_taps(n, ca[g:g + 1], sa[g:g + 1], scheme), None
+            for s in _chunks(len(group), n * n):
+                # The first chunk is the longest; a shorter last one reads the index of its
+                # leading rasters.
+                if at is None:
+                    at = _tap_index(shared, len(group[s]))
+                _resample(group[s], shared, into[s], at[:len(group[s])])
     return out.reshape(p.shape)
 
 

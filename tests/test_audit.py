@@ -3,11 +3,13 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from orbitcanon import audit as audit_module
 from orbitcanon.audit import (
     GRID_STEPS_3D,
     MODES,
@@ -228,6 +230,16 @@ class TestModelRecord:
     def test_refuses(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _record(**fields)
+
+    @pytest.mark.parametrize("canonicalize", ["train_and_test", "test_only"])
+    def test_canonicalizing_image_model_needs_a_scheme(self, canonicalize):
+        """No default scheme stands in for an unset one: an image model that
+        canonicalizes must record the scheme its reports are made with."""
+        with pytest.raises(ValueError,
+                           match="^an image model that canonicalizes needs a scheme$"):
+            _record(kind="image", canonicalize=canonicalize, scheme=None)
+        assert _record(kind="image", canonicalize="off", scheme=None).scheme is None
+        assert _record(kind="cloud", canonicalize=canonicalize, scheme=None).scheme is None
 
     def test_unknown_canonicalize_never_reaches_an_audit(self):
         """A model that would canonicalize nothing yet report canonicalized=true
@@ -720,9 +732,10 @@ class TestSweepStack:
 
     def test_peak_memory_of_the_rotation_grid(self):
         """The 3-D audit of 40 canonicalized 64-point clouds holds the stack
-        plus at most 8 arrays of 61440 floats (4.0 MB).  Measured: 3.3 MB at
-        SWEEP_CHUNK_FLOATS = 61440, 6.5 MB at twice that and 87 MB for the
-        whole grid at once."""
+        plus at most 8 arrays of 61440 floats (4.0 MB).  Measured: 2.4 MB at
+        SWEEP_CHUNK_FLOATS = 61440 (3.3 MB when the chunk's moved stacks were
+        concatenated), 4.7 MB at twice that and 57 MB for the whole grid at
+        once."""
         data = gen_synthetic_clouds(seed=25, n_per_class=10)
         model = replace(_constant_model(data), canonicalize="test_only")
         evaluate_rotation_grid_3d(model, gen_synthetic_clouds(seed=25, n_per_class=1))
@@ -758,6 +771,84 @@ class TestSweepStack:
                                 lambda x, a: rotate_image(x, a, scheme), scheme)
         assert report == ref
         np.testing.assert_array_equal(report.per_sample_worst, ref.per_sample_worst)
+
+
+def _bits(x):
+    """The shape and bytes of a float array, so -0.0 and 0.0 differ."""
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+def _sweep_moves(monkeypatch, audit_fn, model, data):
+    """The grid and the move that audit_fn hands the sweep."""
+    captured = []
+    monkeypatch.setattr(audit_module, "_sweep",
+                        lambda *args: captured.append((args[4], args[5])))
+    audit_fn(model, data)
+    return captured[0]
+
+
+class TestChunkMoves:
+    """Each sweep chunk is moved in one call: a stack (G, N, ...) whose slice g
+    is the data moved to the chunk's grid point g, bit for bit."""
+
+    @pytest.mark.parametrize("audit_fn, per_point", [
+        (evaluate_rotation_grid_3d, np.matmul), (evaluate_scale_sweep, np.multiply)])
+    def test_cloud_moves_equal_one_grid_point_at_a_time(self, monkeypatch, audit_fn,
+                                                         per_point):
+        data = gen_synthetic_clouds(seed=26, n_per_class=3)
+        grid, move = _sweep_moves(monkeypatch, audit_fn, _constant_model(data), data)
+        parameters = np.array([parameter for _, parameter in grid])
+        for start in range(0, len(grid), 7):
+            moved = move(data.inputs, parameters[start:start + 7])
+            assert moved.shape == (len(parameters[start:start + 7]),) + data.inputs.shape
+            for got, parameter in zip(moved, parameters[start:start + 7]):
+                assert _bits(got) == _bits(per_point(data.inputs, parameter))
+                for cloud, moved_cloud in zip(data.inputs, got):
+                    assert _bits(moved_cloud) == _bits(per_point(cloud, parameter))
+
+    def test_raster_move_equals_one_angle_at_a_time(self, monkeypatch):
+        data = gen_synthetic_images(seed=26, n_per_class=1, size=16)
+        model = _constant_model(data)
+        for scheme in ("nearest", "bicubic"):
+            grid, move = _sweep_moves(
+                monkeypatch, lambda m, d: evaluate_rotation_sweep_2d(m, d, scheme),
+                model, data)
+            angles = np.array([angle for _, angle in grid[29:34]])
+            for got, angle in zip(move(data.inputs, angles), angles):
+                assert _bits(got) == _bits(rotate_image(data.inputs, angle, scheme))
+
+    @pytest.mark.parametrize("points_per_call", [1, 7, None, 400])
+    def test_one_move_per_chunk(self, monkeypatch, points_per_call):
+        """move runs ceil(len(grid) / step) times per audit, step grid points
+        at a time, and the 2-D audit makes one rotate_image call per move."""
+        clouds = gen_synthetic_clouds(seed=27, n_per_class=1, n_points=16)
+        images = gen_synthetic_images(seed=27, n_per_class=1, size=16)
+        sweep, calls = audit_module._sweep, Counter()
+
+        def counted(model, data, audit, kind, grid, move, scheme):
+            def counted_move(inputs, parameters):
+                calls[audit] += 1
+                return move(inputs, parameters)
+            return sweep(model, data, audit, kind, grid, counted_move, scheme)
+
+        def counted_rotate(*args):
+            calls["rotate_image"] += 1
+            return rotate_image(*args)
+
+        monkeypatch.setattr(audit_module, "_sweep", counted)
+        monkeypatch.setattr(audit_module, "rotate_image", counted_rotate)
+        for audit_fn, data, audit, size in [
+                (evaluate_rotation_grid_3d, clouds, "rotation3d", 256),
+                (evaluate_scale_sweep, clouds, "scale", len(SCALE_FACTORS)),
+                (evaluate_rotation_sweep_2d, images, "rotation2d", 360)]:
+            if points_per_call is not None:
+                monkeypatch.setattr(audit_module, "SWEEP_CHUNK_FLOATS",
+                                    points_per_call * data.inputs.size + 1)
+            step = max(1, audit_module.SWEEP_CHUNK_FLOATS // data.inputs.size)
+            audit_fn(_constant_model(data), data)
+            assert calls[audit] == math.ceil(size / step)
+        assert calls["rotate_image"] == calls["rotation2d"]
 
 
 class TestSoftmaxCurve:

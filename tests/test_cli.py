@@ -477,6 +477,32 @@ class TestTrainAndAudit:
         assert not out.exists()
         assert "model" in capsys.readouterr().err
 
+    def test_canonicalizing_image_model_without_scheme_is_data_error(self, tmp_path, capsys):
+        """A model file whose scheme byte (offset 10) reads 255, unset, under
+        canonicalize train_and_test is refused before the audit runs; the
+        same model that does not canonicalize loads and audits."""
+        data = _gen(tmp_path, "images", seed=0, per_class=1)
+        model_path = tmp_path / "model.bin"
+        assert run(["train", "--data", str(data), "--epochs", "2", "--canon", "train",
+                    "--model", str(model_path)]) == 0
+        blob = bytearray(model_path.read_bytes())
+        assert (blob[9], blob[10]) == (1, 1)  # train_and_test, bilinear
+        blob[10] = 255
+        model_path.write_bytes(bytes(blob))
+        out = tmp_path / "rot2d.csv"
+        capsys.readouterr()
+        assert run(["audit-rot2d", "--model", str(model_path), "--data", str(data),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: an image model that canonicalizes needs a scheme\n")
+        blob[9] = 0  # off
+        model_path.write_bytes(bytes(blob))
+        assert load_model(bytes(blob)).scheme is None
+        assert run(["audit-rot2d", "--model", str(model_path), "--data", str(data),
+                    "--out", str(out)]) == 0
+        assert read_report(out.read_text()).canonicalized is False
+
     def test_point_count_mismatch_names_both(self, tmp_path, capsys):
         data = _gen(tmp_path, "clouds", seed=0, per_class=2)
         model_path = tmp_path / "model.bin"

@@ -14,7 +14,14 @@ from orbitcanon.cloud import (
     canonicalize_similarity,
     eig3_sym,
 )
-from orbitcanon.cloud import _centroid, _point_norms
+from orbitcanon.cloud import (
+    EIG_TIE_RTOL,
+    SIGN_RTOL,
+    _centroid,
+    _eigh_descending,
+    _first_bad,
+    _point_norms,
+)
 from orbitcanon.groups import CanonResult, equivariant_canon
 
 
@@ -709,3 +716,155 @@ class TestScaleRange:
             canonicalize_similarity(cube)
         with pytest.raises(ValueError, match="^cloud 1: the mean distance from the centroid"):
             canonicalize_clouds(np.array([cube / 1e300, cube]))
+
+
+def _reference_point_norms(X):
+    s = X * X
+    return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
+
+
+def _reference_canonicalize_clouds(clouds, sign_reference="first"):
+    """canonicalize_clouds with its first formulas: |X| maxima, centering by an
+    (N, 1, 3) operand, point norms without a work buffer and the canonical
+    clouds as the product P * signs."""
+    X = np.asarray(clouds, dtype=float)
+    if X.ndim != 3 or X.shape[2] != 3 or X.shape[1] < 1:
+        raise ValueError("expected an N x P x 3 stack of point clouds")
+    top = np.abs(X).max(axis=(1, 2))
+    if not np.all(np.isfinite(top)):
+        raise ValueError("point cloud contains non-finite coordinates")
+    e = np.frexp(top)[1]
+    X = np.ldexp(X, -e[:, None, None])
+    centroid = _centroid(X)
+    X -= centroid[:, None, :]
+    _first_bad(np.all(X[:, 1:] == X[:, :-1], axis=(1, 2)), DegenerateCloudError,
+               "every point is at the origin; no scale to remove")
+    spread = np.frexp(np.abs(X).max(axis=(1, 2)))[1]
+    np.ldexp(X, -spread[:, None, None], out=X)
+    scale = _reference_point_norms(X).mean(axis=1)
+    with np.errstate(over="ignore"):
+        restored = np.ldexp(scale, e + spread)
+    _first_bad(np.isinf(restored), ValueError,
+               "the mean distance from the centroid overflows the float range")
+    if X.shape[1] < 3:
+        raise ValueError("need at least 3 points to fix a rotation")
+    if sign_reference not in ("first", "max_norm"):
+        raise ValueError(f"unknown sign_reference {sign_reference!r}")
+    X /= scale[:, None, None]
+
+    norms = _reference_point_norms(X)
+    w, V = _eigh_descending(X.transpose(0, 2, 1) @ X)
+    P = X @ V
+    sign_tol = SIGN_RTOL * np.maximum(norms.mean(axis=1), 1e-300)[:, None]
+    degenerate = np.any(w[:, :-1] - w[:, 1:]
+                        < EIG_TIE_RTOL * np.maximum(w[:, :1], 1e-300), axis=1)
+    if sign_reference == "first":
+        ref = np.zeros(len(X), dtype=int)
+    else:
+        ref = np.lexsort((X[..., 2], X[..., 1], X[..., 0], norms), axis=1)[:, -1]
+    pinned = P[np.arange(len(X)), ref]
+    settled = np.abs(pinned) > sign_tol
+    loose = np.flatnonzero(~settled.all(axis=1))
+    if loose.size:
+        decisive = np.abs(P[loose]) > sign_tol[loose, None]
+        first = P[loose[:, None], decisive.argmax(axis=1), np.arange(3)]
+        pinned[loose] = np.where(settled[loose], pinned[loose],
+                                 np.where(decisive.any(axis=1), first, 1.0))
+        degenerate[loose] = True
+    signs = np.where(pinned > 0.0, 1.0, -1.0)
+    reflected = np.linalg.det(V * signs[:, None, :]) < 0.0
+    signs[reflected, 2] = -signs[reflected, 2]
+    frame = PCAFrame(centroid=np.ldexp(centroid, e[:, None]), scale=restored, basis=V,
+                     signs=signs, singular_values=np.sqrt(np.maximum(w, 0.0)),
+                     degenerate=degenerate)
+    return CanonResult(P * signs[:, None, :], frame, degenerate,
+                       frame.singular_values[:, 0] ** 2)
+
+
+def _oracle_stack(seed, n, p, lanes, decades, offsets, zeros):
+    """n clouds of p points: lane i of kind lanes[i] ('ordinary', 'loose',
+    'coincident' or 'nonfinite'), anisotropic, shifted by 10^offsets[i] times
+    its spread and scaled by 10^decades[i]; with zeros, a tenth of the
+    ordinary coordinates are -0.0."""
+    rng = np.random.default_rng(seed)
+    clouds = []
+    for kind, decade, offset in zip(lanes[:n], decades, offsets):
+        decade = min(decade, 299 - offset)
+        cloud = rng.normal(size=(p, 3)) * [1.5, 1.0, 0.6] @ _random_rotation(rng)
+        if kind == "loose" and p >= len(AXIS_ALIGNED):
+            # Every axis meets the first and the farthest point at 0 or +-0.
+            cloud = np.zeros((p, 3))
+            cloud[:len(AXIS_ALIGNED)] = AXIS_ALIGNED
+        elif kind == "loose":
+            # Point 0 sits at the centroid, to rounding.
+            cloud[0] = 0.0
+            cloud[1:] -= cloud[1:].mean(axis=0)
+        elif kind == "coincident":
+            cloud[:] = cloud[0]
+        cloud = (cloud + 10.0 ** offset * rng.normal(size=3)) * 10.0 ** decade
+        if kind == "ordinary" and zeros:
+            cloud[rng.random(cloud.shape) < 0.1] = -0.0
+        if kind == "nonfinite":
+            cloud[rng.integers(p), rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
+        clouds.append(cloud)
+    return np.array(clouds)
+
+
+def _outcome(canonicalize, stack, sign_reference):
+    try:
+        return canonicalize(stack.copy(), sign_reference)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_LANES = ("ordinary", "loose", "coincident", "nonfinite")
+
+
+def test_canonicalize_clouds_matches_its_first_formulas():
+    """The one-coordinate centering, the work buffer and the in-place sign
+    negation keep every bit of the first formulas: canonical clouds, frame
+    fields, flags, energies and error messages, from 1e-300 to 1e300, at
+    offsets up to 1e15 spreads, on signed zeros, sign fallbacks, coincident
+    and non-finite clouds, under both sign references."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lanes = st.lists(st.sampled_from(_LANES[:2]) | st.sampled_from(_LANES), min_size=7,
+                     max_size=7)
+    cases = []
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 7]),
+                      p=st.sampled_from([3, 4, 64]), lanes=lanes,
+                      decades=st.lists(st.integers(-300, 300), min_size=7, max_size=7),
+                      offsets=st.lists(st.integers(0, 15), min_size=7, max_size=7),
+                      zeros=st.booleans(), sign_reference=st.sampled_from(["first", "max_norm"]))
+    @hypothesis.example(seed=1, n=7, p=64, lanes=["ordinary", "loose"] * 3 + ["ordinary"],
+                        decades=[-300, 299, 0, 5, -300, 0, 299], offsets=[0, 0, 15, 12, 0, 0, 0],
+                        zeros=True, sign_reference="max_norm")
+    @hypothesis.example(seed=2, n=2, p=3, lanes=["ordinary", "loose"] + ["ordinary"] * 5,
+                        decades=[0] * 7, offsets=[0] * 7, zeros=True, sign_reference="first")
+    @hypothesis.example(seed=3, n=7, p=4, lanes=["ordinary"] * 3 + ["coincident"] * 4,
+                        decades=[-300] * 7, offsets=[15] * 7, zeros=False,
+                        sign_reference="first")
+    @hypothesis.example(seed=4, n=2, p=64, lanes=["ordinary", "nonfinite"] + ["ordinary"] * 5,
+                        decades=[300] * 7, offsets=[0] * 7, zeros=False,
+                        sign_reference="max_norm")
+    def check(seed, n, p, lanes, decades, offsets, zeros, sign_reference):
+        stack = _oracle_stack(seed, n, p, lanes, decades, offsets, zeros)
+        got = _outcome(canonicalize_clouds, stack, sign_reference)
+        want = _outcome(_reference_canonicalize_clouds, stack, sign_reference)
+        if isinstance(want, tuple):
+            assert got == want
+            cases.append(want[1].partition(": ")[2] or want[1])
+            return
+        _assert_bits_equal(got.canonical, want.canonical)
+        assert np.array_equal(np.signbit(got.canonical), np.signbit(want.canonical))
+        for field, expected in zip(_frame_fields(got.element), _frame_fields(want.element)):
+            _assert_bits_equal(field, expected)
+        _assert_bits_equal(got.degenerate, want.degenerate)
+        _assert_bits_equal(got.energy, want.energy)
+        cases.append("degenerate" if want.degenerate.any() else "settled")
+
+    check()
+    assert set(cases) >= {"settled", "degenerate", "point cloud contains non-finite coordinates",
+                          "every point is at the origin; no scale to remove"}

@@ -1,6 +1,7 @@
 """Tests for the 2D rotation canonicalizer: blur, model, angle, resampling."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -895,6 +896,41 @@ class TestRotationTables:
             out = rotate_image(stack, alpha, scheme)
             for img, got in zip(stack, out):
                 _assert_same_bits(got, _reference_rotate(img, alpha, scheme))
+
+    @pytest.mark.parametrize("n", [2, 5, 32, 33])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_angle_per_group(self, scheme, n):
+        """A stack (G, N, n, n) with angles (G,) is one shared-angle call per
+        group, bit for bit, with N and G N crossing chunk boundaries and
+        ending in a short chunk, and with N = 2; so is a broadcast group, as
+        the audits give, and a group of groups, (2, G, N, n, n) with angles
+        (2,)."""
+        rng = np.random.default_rng(385 + n)
+        count = _crossing_count(CHUNK_PIXELS // (n * n))
+        assert _short_last_chunk(count, CHUNK_PIXELS // (n * n))
+        assert _short_last_chunk(3 * count, CHUNK_PIXELS // (n * n))
+        stack = _signed_rasters(rng, (3, count, n, n))
+        angles = np.array([np.pi / 2, rng.uniform(-7.0, 7.0), np.radians(33.0)])
+        for groups in (stack, stack[:, :2]):
+            out = rotate_image(groups, angles, scheme)
+            for group, alpha, got in zip(groups, angles, out):
+                _assert_same_bits(got, rotate_image(group, alpha, scheme))
+        moved = rotate_image(np.broadcast_to(stack[1], stack.shape), angles, scheme)
+        for alpha, got in zip(angles, moved):
+            _assert_same_bits(got, rotate_image(stack[1], alpha, scheme))
+        pair = np.stack([stack[:, :5], stack[::-1, :5]])
+        out = rotate_image(pair, angles[:2], scheme)
+        for groups, alpha, got in zip(pair, angles[:2], out):
+            _assert_same_bits(got, rotate_image(groups, alpha, scheme))
+
+    @pytest.mark.parametrize("shape", [(5, 4), (4,), (5,), (3, 5, 4)])
+    def test_angles_that_lead_no_raster_axes(self, shape):
+        """Angles for a stack (3, 5, 4, 4) must have the shape (), (3,) or
+        (3, 5): (5, 4) names a raster axis, (4,) has one group too many,
+        (5,) is not a prefix and (3, 5, 4) reaches into the raster."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected one angle per raster, (3, 5), got {shape}")):
+            rotate_image(np.zeros((3, 5, 4, 4)), np.zeros(shape))
 
     def test_cached_constants_are_read_only(self):
         """Every array cached per raster size refuses a write, which would
