@@ -19,7 +19,6 @@ from .groups import (
     invariant_wrap,
     quarter_turn_group,
     symmetric_group,
-    trivial_group,
 )
 from .vectors import mean_subtract, sort_canonicalize, sort_energy
 from .cloud import (
@@ -57,8 +56,6 @@ from .audit import (
 from .formats import (
     load_dataset,
     load_model,
-    read_idx_images,
-    read_idx_labels,
     read_off,
     read_pgm,
     read_report,
@@ -83,7 +80,6 @@ __all__ = [
     "invariant_wrap",
     "quarter_turn_group",
     "symmetric_group",
-    "trivial_group",
     "mean_subtract",
     "sort_canonicalize",
     "sort_energy",
@@ -115,8 +111,6 @@ __all__ = [
     "ReportDocument",
     "load_dataset",
     "load_model",
-    "read_idx_images",
-    "read_idx_labels",
     "read_off",
     "read_pgm",
     "read_report",

@@ -211,7 +211,8 @@ def _cmd_curve(args) -> int:
             for i, (a, p) in enumerate(zip(angles, probs))]
     Path(args.outfile).write_text(_formats.write_table(
         "# orbitcanon curve v1",
-        {"kind": model.kind, "label": label, "scheme": args.scheme},
+        {"kind": model.kind, "label": label,
+         "scheme": args.scheme if model.kind == "image" else ""},
         "index,angle_degrees,probability", rows))
     return 0
 

@@ -1,4 +1,4 @@
-"""File formats: PGM rasters, IDX archives, XYZ/OFF clouds, reports, models.
+"""File formats: PGM rasters, XYZ/OFF clouds, reports, models.
 
 Records are defined in `audit.py` and serialized in `formats.py`.
 Readers validate aggressively and raise ValueError with a location when
@@ -19,9 +19,6 @@ import numpy as np
 from .audit import (CANON_MODES, KINDS, MODES, LabeledDataset, LinearSoftmaxModel,
                     ReportDocument)
 from .image import SCHEMES, GrayImage
-
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
 
 _MODEL_MAGIC = b"OCLM0001"
 _MODEL_HEAD = "<8sBBBBd II"
@@ -109,53 +106,6 @@ def write_pgm(img, maxval: int = 255) -> bytes:
     if maxval > 255:
         return header + q.astype(">u2").tobytes()
     return header + q.astype("u1").tobytes()
-
-
-# ---------------------------------------------------------------------------
-# IDX
-
-
-def _idx_header(data: bytes, expect_magic: int, rank: int, kind: str):
-    need = 4 * (1 + rank)
-    if len(data) < need:
-        raise ValueError(f"truncated IDX {kind} header")
-    magic = struct.unpack(">i", data[:4])[0]
-    if magic != expect_magic:
-        raise ValueError(
-            f"bad IDX {kind} magic 0x{magic:08x} (want 0x{expect_magic:08x})")
-    dims = struct.unpack(f">{rank}i", data[4:need])
-    if any(d < 0 for d in dims):
-        raise ValueError(f"negative IDX dimension in {dims}")
-    return dims, need
-
-
-def read_idx_images(data: bytes) -> list[GrayImage]:
-    """Parse an IDX image archive into a list of square grayscale images.
-
-    The archive stores unsigned bytes scaled here by 1/255.  Non-square
-    rasters are rejected because the rotation pipeline needs square input.
-    """
-    (count, rows, cols), pos = _idx_header(data, _IDX_IMAGES_MAGIC, 3, "image")
-    if rows != cols:
-        raise ValueError(f"IDX rasters are {rows} x {cols}, need square images")
-    need = count * rows * cols
-    payload = data[pos:pos + need]
-    if len(payload) < need:
-        raise ValueError(f"truncated IDX raster data: need {need} bytes")
-    cube = np.frombuffer(payload, dtype="u1").reshape(count, rows, cols)
-    return [GrayImage(cube[i] / 255.0) for i in range(count)]
-
-
-def read_idx_labels(data: bytes) -> np.ndarray:
-    """Parse an IDX label file into an int array; labels must be 0..9."""
-    (count,), pos = _idx_header(data, _IDX_LABELS_MAGIC, 1, "label")
-    payload = data[pos:pos + count]
-    if len(payload) < count:
-        raise ValueError(f"truncated IDX label data: need {count} bytes")
-    labels = np.frombuffer(payload, dtype="u1").astype(int)
-    if labels.size and labels.max() > 9:
-        raise ValueError(f"label {labels.max()} outside 0..9")
-    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +416,8 @@ def save_dataset(data, directory) -> None:
 
 
 def load_dataset(directory):
-    """Read back a dataset directory written by save_dataset."""
+    """Read back a dataset directory written by save_dataset; a row whose
+    class_name is not its label's declared class is refused."""
     root = Path(directory)
     manifest = root / "manifest.csv"
     if not manifest.is_file():
@@ -481,6 +432,10 @@ def load_dataset(directory):
     if kind not in KINDS:
         raise ValueError(f"manifest kind {kind!r} is not 'image' or 'cloud'")
     class_names = tuple(meta.get("classes", "").split("|")) if meta.get("classes") else ()
+    for (lineno, (_, _, name)), label in zip(table, labels):
+        if 0 <= label < len(class_names) and name != class_names[label]:
+            raise ValueError(f"manifest line {lineno}: class_name {name!r} does not match "
+                             f"label {label} ({class_names[label]!r})")
     inputs = []
     for _, (name, _, _) in table:
         path = root / name

@@ -59,9 +59,6 @@ class FiniteGroup:
     inverse: Callable[[Any], Any] = field(repr=False)
     identity: Any
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def _same(a, b) -> bool:
     return np.array_equal(np.asarray(a), np.asarray(b))
@@ -167,17 +164,6 @@ def finite_orbit_canonicalize(x, group: FiniteGroup,
     return CanonResult(canonical=orbit[best], element=group.elements[best],
                        degenerate=energy is not None and len(set(keys.values())) > 1,
                        energy=energies[best])
-
-
-def trivial_group() -> FiniteGroup:
-    """The one-element group acting as the identity."""
-    return FiniteGroup(
-        elements=(0,),
-        apply=lambda g, x: x,
-        compose=lambda g, h: 0,
-        inverse=lambda g: 0,
-        identity=0,
-    )
 
 
 def quarter_turn_group() -> FiniteGroup:

@@ -50,7 +50,7 @@ CHUNK_PIXELS = 8192
 
 @dataclass(frozen=True)
 class GrayImage:
-    """One H x W raster with float values in [0, 1], from a PGM or IDX file.
+    """One H x W raster with float values in [0, 1], from a PGM file.
 
     Values are clamped into [0, 1] on construction and the array is
     frozen; non-finite input is rejected.  It converts to its pixels

@@ -10,11 +10,17 @@ explicit wall-clock assertions.
 
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbitcanon
 from orbitcanon.audit import (
     SCALE_FACTORS,
     TrainConfig,
@@ -414,6 +420,70 @@ def test_criterion_10_byte_identical_runs(tmp_path):
     assert artifacts[0][2] == artifacts[1][2]
     assert artifacts[0][3] == artifacts[1][3]
     print("criterion 10: model, report and dataset bytes identical")
+
+
+# The kernels behind a file's bits: OpenBLAS's core moves gemm and eigh, and
+# numpy's X86_V4 dispatch moves exp, log and arctan2.  Model files differ
+# between them; reports, as far as measured, do not.
+KERNEL_VARIANTS = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy-without-x86-v4": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+def _why_variant_does_nothing(name):
+    """Why the variant would run the default kernels here, or None if it would not."""
+    if name == "openblas-haswell":
+        probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                               text=True, env={**os.environ, "OPENBLAS_VERBOSE": "2"})
+        core = re.search(r"Core: (\S+)", probe.stdout + probe.stderr)
+        if core is None:
+            return "numpy's BLAS names no OpenBLAS core"
+        return "OpenBLAS already runs its Haswell core" if core[1] == "Haswell" else None
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        return "numpy 1.x names its CPU features otherwise"
+    from numpy._core._multiarray_umath import __cpu_features__
+    return None if __cpu_features__.get("AVX512_SKX") else "the CPU has no AVX512_SKX"
+
+
+def _report_trip(root, variables):
+    """The audit reports of a small cloud trip and image trip, each command a
+    `python -m orbitcanon.cli` process with `variables` added to the environment."""
+    src = str(Path(orbitcanon.__file__).resolve().parents[1])
+    env = {**os.environ, **variables,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    root.mkdir()
+    reports = {}
+    for kind, gen, train, audit in (
+            ("clouds", ["--seed", "0", "--per-class", "3"],
+             ["--mode", "adv", "--k", "4"], "audit-rot3d"),
+            ("images", ["--seed", "0", "--per-class", "1"], ["--mode", "ra"], "audit-rot2d")):
+        data, model, report = root / kind, root / f"{kind}.bin", root / f"{kind}.csv"
+        for argv in (["gen-data", "--kind", kind, *gen, "--out", str(data)],
+                     ["train", "--data", str(data), *train, "--canon", "train",
+                      "--epochs", "20", "--model", str(model)],
+                     [audit, "--model", str(model), "--data", str(data), "--out", str(report)]):
+            done = subprocess.run([sys.executable, "-m", "orbitcanon.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+        reports[kind] = report.read_bytes()
+    return reports
+
+
+@pytest.fixture(scope="module")
+def default_kernel_reports(tmp_path_factory):
+    return _report_trip(tmp_path_factory.mktemp("kernels") / "default", {})
+
+
+@pytest.mark.parametrize("variant", sorted(KERNEL_VARIANTS))
+def test_reports_are_portable_across_kernels(tmp_path, request, variant):
+    """A report has the same bytes under another OpenBLAS core and without
+    numpy's AVX-512 dispatch.  Nothing is asserted about model bytes."""
+    why = _why_variant_does_nothing(variant)
+    if why is not None:
+        pytest.skip(why)
+    reports = _report_trip(tmp_path / variant, KERNEL_VARIANTS[variant])
+    assert reports == request.getfixturevalue("default_kernel_reports")
 
 
 @pytest.mark.parametrize("check", [check for _, check in SELFTEST_CHECKS],

@@ -373,6 +373,24 @@ class TestTrainAndAudit:
             "error: degenerate input: cloud 5: every point is at the origin; "
             "no scale to remove\n")
 
+    def test_class_name_contradicting_its_label_is_data_error(self, tmp_path, capsys):
+        """A manifest row whose class_name is not its label's class exits 2 and
+        writes no report."""
+        data = _gen(tmp_path, "clouds", per_class=2)
+        model_path = tmp_path / "model.bin"
+        assert run(["train", "--data", str(data), "--epochs", "2",
+                    "--model", str(model_path)]) == 0
+        manifest = data / "manifest.csv"
+        text = manifest.read_text()
+        assert "sample_00000.xyz,0,shell\n" in text
+        manifest.write_text(text.replace("sample_00000.xyz,0,shell", "sample_00000.xyz,0,cross"))
+        out = tmp_path / "scale.csv"
+        assert run(["audit-scale", "--model", str(model_path), "--data", str(data),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: manifest line 5: class_name 'cross' does not match label 0 ('shell')\n")
+
     def test_scale_audit(self, tmp_path):
         data = _gen(tmp_path, "clouds", seed=0, per_class=4)
         model_path = tmp_path / "model.bin"
@@ -643,7 +661,7 @@ class TestCurve:
             rows.append((i, math.degrees(float(a)), float(np.exp(logp)[0, label])))
         expected = write_table(
             "# orbitcanon curve v1",
-            {"kind": "cloud", "label": label, "scheme": "bilinear"},
+            {"kind": "cloud", "label": label, "scheme": ""},
             "index,angle_degrees,probability", rows)
         assert out.read_text() == expected
 

@@ -1,7 +1,6 @@
-"""Tests for the PGM/IDX/XYZ/OFF parsers, report text, and binary model blobs."""
+"""Tests for the PGM/XYZ/OFF parsers, report text, and binary model blobs."""
 
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -19,8 +18,6 @@ from orbitcanon.formats import (
     ReportDocument,
     load_dataset,
     load_model,
-    read_idx_images,
-    read_idx_labels,
     read_off,
     read_pgm,
     read_report,
@@ -101,53 +98,6 @@ class TestPgm:
         """Only the declared raster is read; trailing junk is not consumed."""
         img = read_pgm(b"P2\n1 1\n255\n0 7\n")
         np.testing.assert_array_equal(img.pixels, [[0.0]])
-
-
-class TestIdx:
-    @staticmethod
-    def _images_blob(arrays):
-        n = len(arrays)
-        rows, cols = arrays[0].shape
-        head = struct.pack(">IIII", 0x00000803, n, rows, cols)
-        body = b"".join(a.astype(np.uint8).tobytes() for a in arrays)
-        return head + body
-
-    def test_images_happy_path(self):
-        a = np.array([[0, 255], [128, 64]], dtype=np.uint8)
-        b = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-        images = read_idx_images(self._images_blob([a, b]))
-        assert len(images) == 2
-        np.testing.assert_allclose(images[0].pixels, a / 255.0)
-        np.testing.assert_allclose(images[1].pixels, b / 255.0)
-
-    def test_images_rejects_non_square(self):
-        head = struct.pack(">IIII", 0x00000803, 1, 2, 3)
-        with pytest.raises(ValueError):
-            read_idx_images(head + bytes(6))
-
-    def test_images_rejects_wrong_magic(self):
-        head = struct.pack(">IIII", 0x00000801, 1, 2, 2)
-        with pytest.raises(ValueError):
-            read_idx_images(head + bytes(4))
-
-    def test_images_rejects_truncation(self):
-        head = struct.pack(">IIII", 0x00000803, 2, 2, 2)
-        with pytest.raises(ValueError):
-            read_idx_images(head + bytes(7))
-
-    def test_labels_happy_path(self):
-        blob = struct.pack(">II", 0x00000801, 4) + bytes([0, 9, 3, 1])
-        np.testing.assert_array_equal(read_idx_labels(blob), [0, 9, 3, 1])
-
-    def test_labels_reject_out_of_range(self):
-        blob = struct.pack(">II", 0x00000801, 2) + bytes([0, 10])
-        with pytest.raises(ValueError):
-            read_idx_labels(blob)
-
-    def test_labels_reject_truncation(self):
-        blob = struct.pack(">II", 0x00000801, 3) + bytes([0, 1])
-        with pytest.raises(ValueError):
-            read_idx_labels(blob)
 
 
 class TestXyz:
@@ -539,11 +489,6 @@ REFUSALS = [
     (_pgm(b"P"), "not a PGM file: too short", "pgm-short"),
     (_pgm(b"P2\n0 1\n255\n"), "bad dimensions 0 x 1", "pgm-dimensions"),
     (_pgm(b"P2\n1 1\n5\n9\n"), "sample value exceeds maxval 5", "pgm-maxval"),
-    (_call(lambda: read_idx_images(b"\x00\x00\x08")), "truncated IDX image header",
-     "idx-image-header"),
-    (_call(lambda: read_idx_labels(b"\x00")), "truncated IDX label header", "idx-label-header"),
-    (_call(lambda: read_idx_labels(struct.pack(">ii", 0x801, -1))),
-     "negative IDX dimension in (-1,)", "idx-negative"),
     (_call(lambda: write_xyz(np.zeros((2, 2)))), "expected an N x 3 point array", "xyz-shape"),
     (_off("# nothing\n"), "empty OFF input", "off-empty"),
     (_off("OFF\n"), "OFF input has no counts line", "off-no-counts"),
@@ -570,6 +515,8 @@ REFUSALS = [
      "manifest kind 'mesh' is not 'image' or 'cloud'", "manifest-kind"),
     (_manifest("# kind=cloud\n# classes=a\nfilename,label,class_name\ngone.xyz,0,a\n"),
      "manifest references missing file gone.xyz", "manifest-missing-file"),
+    (_manifest("# kind=cloud\n# classes=a|b\nfilename,label,class_name\nx.xyz,0,b\n"),
+     "manifest line 4: class_name 'b' does not match label 0 ('a')", "manifest-class-name"),
     (_call(lambda: save_model(LinearSoftmaxModel(weights=np.zeros((2, 3)), bias=np.zeros(3),
                                                  kind="cloud"))),
      "weights must be C x F with a length-C bias", "model-shapes"),

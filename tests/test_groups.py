@@ -20,9 +20,14 @@ from orbitcanon.groups import (
     permute,
     quarter_turn_group,
     symmetric_group,
-    trivial_group,
 )
 from orbitcanon.vectors import mean_subtract, sort_canonicalize, sort_energy
+
+
+# The one-element group acting as the identity.  Its action returns x itself,
+# so a result that aliased the input would show.
+_IDENTITY_GROUP = FiniteGroup(elements=(0,), apply=lambda g, x: x, compose=lambda g, h: 0,
+                              inverse=lambda g: 0, identity=0)
 
 
 def _unpermute(p, y):
@@ -55,7 +60,6 @@ def _cross_correlate_3x3(img, kernel):
 class TestGroupAxioms:
     def test_shipped_groups_pass(self):
         rng = np.random.default_rng(11)
-        check_group_axioms(trivial_group(), [rng.random((3, 3))])
         check_group_axioms(quarter_turn_group(), [rng.random((5, 5))])
         for n in (2, 3, 4):
             check_group_axioms(symmetric_group(n), [rng.random(n)])
@@ -117,7 +121,6 @@ class TestGroupAxioms:
     def test_symmetric_group_size(self):
         assert len(symmetric_group(4).elements) == 24
         assert len(quarter_turn_group().elements) == 4
-        assert len(trivial_group().elements) == 1
 
     def test_invert_permutation_is_python_ints(self):
         for p in symmetric_group(4).elements:
@@ -289,7 +292,7 @@ class TestInvariantWrap:
 class TestEquivariantAverage:
     def test_trivial_group_is_inner(self):
         x = np.arange(6.0)
-        out = equivariant_average(x, trivial_group(), lambda v: v * 2.0)
+        out = equivariant_average(x, _IDENTITY_GROUP, lambda v: v * 2.0)
         np.testing.assert_array_equal(out, x * 2.0)
 
     def test_c4_correlation_exact_equivariance(self):
@@ -333,7 +336,7 @@ class TestEquivariantAverage:
     def test_result_is_a_new_array(self):
         """Writing the result leaves the input alone, even for the identity."""
         x = np.arange(4.0)
-        out = equivariant_average(x, trivial_group(), lambda a: a)
+        out = equivariant_average(x, _IDENTITY_GROUP, lambda a: a)
         out[0] = 9.0
         np.testing.assert_array_equal(x, np.arange(4.0))
 
