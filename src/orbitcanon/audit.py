@@ -28,13 +28,14 @@ adversarial) hold bitwise.
 
 Data travel as stacks with a leading batch axis (LabeledDataset), which
 featurize, the one place where the orbit mappings run, turns into
-features; each audit featurizes the stack moved to a chunk of grid points.
+features; each audit, and curve, featurizes its stack moved to a chunk of grid points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -561,14 +562,27 @@ class AuditReport(ReportDocument):
                                  for f in fields(ReportDocument)})
 
 
+def _swept(model, inputs, parameters, move):
+    """The feature rows (N, F) of inputs moved to each of parameters: move(inputs, chunk)
+    gives one stack (G, N, ...), featurized in one call, SWEEP_CHUNK_FLOATS at a time.
+    A datum that featurize refuses is named as its grid point alone names it."""
+    step = max(1, SWEEP_CHUNK_FLOATS // inputs.size)
+    for start in range(0, len(parameters), step):
+        moved = move(inputs, parameters[start:start + step])
+        try:
+            feats = featurize(model, moved.reshape((-1,) + inputs.shape[1:]))
+        except ValueError:
+            for stack in moved:
+                featurize(model, stack)
+            raise
+        yield from np.split(feats, len(moved))
+
+
 def _sweep(model, data, audit, kind, grid, move, scheme) -> AuditReport:
-    """Audit model on the data stack moved by move(inputs, parameters) to every
-    (label, parameter) of grid.  audit names the transform family in the
-    report and kind the data it is defined for.  Grid points go
-    SWEEP_CHUNK_FLOATS at a time: move takes the chunk's G parameters and
-    returns one stack (G, N, ...) of the moved data, which is featurized in
-    one call but predicted one grid point at a time, so every logit is the
-    one a grid point alone gives."""
+    """Audit model on the data stack moved by move (see _swept) to every (label,
+    parameter) of grid.  audit names the transform family in the report and
+    kind the data it is defined for.  Each grid point is predicted on its own
+    rows, so every logit is the one a grid point alone gives."""
     if data.kind != kind:
         raise ValueError(f"the {audit} audit is defined for {kind} data, "
                          f"not {data.kind} data")
@@ -578,18 +592,9 @@ def _sweep(model, data, audit, kind, grid, move, scheme) -> AuditReport:
     clean_pred = model.predict(featurize(model, data.inputs))
     clean = float(np.mean(clean_pred == labels))
     parameters = np.array([parameter for _, parameter in grid])
-    step = max(1, SWEEP_CHUNK_FLOATS // data.inputs.size)
     correct = np.empty((len(data), len(grid)), dtype=bool)
-    for start in range(0, len(grid), step):
-        moved = move(data.inputs, parameters[start:start + step])
-        try:
-            feats = featurize(model, moved.reshape((-1,) + data.inputs.shape[1:]))
-        except ValueError:  # name the datum as its grid point alone does
-            for stack in moved:
-                featurize(model, stack)
-            raise
-        for gi, rows in enumerate(np.split(feats, len(moved)), start):
-            correct[:, gi] = model.predict(rows) == labels
+    for gi, rows in enumerate(_swept(model, data.inputs, parameters, move)):
+        correct[:, gi] = model.predict(rows) == labels
     curve = correct.mean(axis=0)
     per_sample_worst = correct.all(axis=1)
     return AuditReport(kind=audit, scheme=scheme,
@@ -602,6 +607,16 @@ def _sweep(model, data, audit, kind, grid, move, scheme) -> AuditReport:
                        mode=model.mode)
 
 
+def _rotate_rasters(rasters, angles, scheme):
+    """The stack (G, N, n, n) of rasters (N, n, n) rotated to G angles, in one call."""
+    return rotate_image(np.broadcast_to(rasters, angles.shape + rasters.shape), angles, scheme)
+
+
+def _rotate_clouds(clouds, rotations):
+    """The stack (G, N, P, 3) of clouds (N, P, 3) moved by G rotations, as np.matmul(clouds, R)."""
+    return np.matmul(clouds[None], rotations[:, None])
+
+
 def evaluate_rotation_sweep_2d(model, data: LabeledDataset,
                                scheme: str = "bilinear") -> AuditReport:
     """Accuracy under content rotations at every whole degree.
@@ -612,16 +627,12 @@ def evaluate_rotation_sweep_2d(model, data: LabeledDataset,
     """
     grid = [(str(deg), math.radians(deg)) for deg in range(360)]
     return _sweep(model, data, "rotation2d", "image", grid,
-                  lambda rasters, angles: rotate_image(
-                      np.broadcast_to(rasters, angles.shape + rasters.shape), angles, scheme),
-                  scheme)
+                  partial(_rotate_rasters, scheme=scheme), scheme)
 
 
 def evaluate_rotation_grid_3d(model, data: LabeledDataset) -> AuditReport:
     """Accuracy under the full 3-D rotation grid (see rotation_grid_3d)."""
-    # One (P x 3) @ (3 x 3) product per cloud and rotation, as np.matmul(clouds, R) makes.
-    return _sweep(model, data, "rotation3d", "cloud", rotation_grid_3d(),
-                  lambda clouds, rotations: np.matmul(clouds[None], rotations[:, None]), "")
+    return _sweep(model, data, "rotation3d", "cloud", rotation_grid_3d(), _rotate_clouds, "")
 
 
 def evaluate_scale_sweep(model, data: LabeledDataset) -> AuditReport:
@@ -634,17 +645,16 @@ def evaluate_scale_sweep(model, data: LabeledDataset) -> AuditReport:
 def softmax_curve(model, sample, angles, scheme: str = "bilinear") -> np.ndarray:
     """True-class softmax probability as the input spins through `angles`.
 
-    Images rotate in-plane with `scheme`; clouds rotate about the z axis.
-    Returns one probability per angle.
+    Images rotate in-plane with `scheme`; clouds rotate about the z axis, both
+    swept as the audits sweep (see _swept).  Returns one probability per angle;
+    a label outside the model's classes raises ValueError.
     """
     datum, label = sample
+    if not (isinstance(label, (int, np.integer)) and 0 <= label < len(model.weights)):
+        raise ValueError(f"label {label!r} is not one of the model's {len(model.weights)} classes")
     datum, angles = np.asarray(datum, dtype=float), np.asarray(angles, dtype=float)
-    if model.kind == "image":
-        moved = rotate_image(np.broadcast_to(datum, angles.shape + datum.shape),
-                             angles, scheme)
-    else:
-        moved = [datum @ rotation_about(2, a) for a in angles]
-    # One row at a time: a batched product sums in another order, which
-    # would change the last bits of the curve.
-    return np.array([np.exp(_log_softmax(model.logits(row[None, :])))[0, label]
-                     for row in featurize(model, moved)])
+    move = partial(_rotate_rasters, scheme=scheme)
+    if model.kind == "cloud":
+        angles, move = np.array([rotation_about(2, a) for a in angles]), _rotate_clouds
+    return np.array([np.exp(_log_softmax(model.logits(row)))[0, label]
+                     for row in _swept(model, datum[None], angles, move)])

@@ -18,6 +18,7 @@ from orbitcanon.formats import (
     read_report,
     read_xyz,
     save_dataset,
+    save_model,
     write_pgm,
     write_table,
     write_xyz,
@@ -722,6 +723,23 @@ class TestCurve:
                     "--out", str(out), "--label", label]) == 1
         assert not out.exists()
         assert "4-class model" in capsys.readouterr().err
+
+    def test_coincident_cloud_is_refused_as_canon_cloud_refuses_it(self, tmp_path, capsys):
+        """A cloud curve sweeps the one datum it is given, so a cloud with no
+        scale gets canon-cloud's message, not that of a 'cloud 0' of a chunk."""
+        model = audit.LinearSoftmaxModel(weights=np.zeros((4, 12)), bias=np.zeros(4),
+                                         kind="cloud", canonicalize="train_and_test")
+        model_path, sample = tmp_path / "model.bin", tmp_path / "point.xyz"
+        model_path.write_bytes(save_model(model))
+        sample.write_text(write_xyz(np.tile([1.0, -2.0, 0.5], (4, 1))))
+        assert run(["canon-cloud", "--in", str(sample), "--out", str(tmp_path / "c.xyz")]) == 3
+        refusal = capsys.readouterr().err
+        out = tmp_path / "curve.csv"
+        assert run(["curve", "--model", str(model_path), "--sample", str(sample),
+                    "--out", str(out), "--label", "0"]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == refusal == (
+            "error: degenerate input: every point is at the origin; no scale to remove\n")
 
 
 class TestAuditDispatch:
