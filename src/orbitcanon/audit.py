@@ -79,8 +79,8 @@ class LabeledDataset:
     inputs, equally sized data, become one read-only float array, (N, P, 3)
     for clouds and (N, h, w) for rasters, and targets a read-only int
     vector.  Data are validated here, once: non-empty, one datum size (a
-    mismatch names both), finite, labels within class_names, and rasters
-    clamped into [0, 1] as GrayImage clamps them.
+    mismatch names both), finite, integer labels within class_names, and
+    rasters clamped into [0, 1] as GrayImage clamps them.
     """
 
     kind: str
@@ -100,7 +100,12 @@ class LabeledDataset:
                 raise ValueError(f"the data mix {_sized(self.kind, math.prod(first))} "
                                  f"and {_sized(self.kind, np.size(datum))}")
         inputs = np.array(self.inputs, dtype=float)
-        targets = np.array(self.targets, dtype=int)
+        labels = np.asarray(self.targets)
+        with np.errstate(invalid="ignore"):
+            targets = labels.astype(int)
+        changed = labels[targets != labels]
+        if changed.size:
+            raise ValueError(f"label {changed[0].item()!r} is not an integer")
         if inputs.ndim != 3 or (self.kind == "cloud" and inputs.shape[2] != 3):
             raise ValueError(f"expected {self.kind} data, got an array of shape {inputs.shape}")
         if not np.all(np.isfinite(inputs)):
@@ -301,6 +306,9 @@ class LinearSoftmaxModel:
         bias = np.array(self.bias, dtype=float)
         if weights.ndim != 2 or bias.shape != (len(weights),):
             raise ValueError("weights must be C x F with a length-C bias")
+        if 0 in weights.shape:
+            raise ValueError(f"model weights are {weights.shape[0]} x {weights.shape[1]}; "
+                             "a model needs at least one class and one feature")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
             raise ValueError("model weights or bias contain non-finite values")
         object.__setattr__(self, "weights", weights)

@@ -154,21 +154,17 @@ def read_xyz(text: str) -> np.ndarray:
     Blank lines and lines starting with '#' are skipped; anything else
     with other than three fields is an error reported with its line
     number, as is a coordinate float() refuses or one holding '_' or a
-    non-ASCII character.  ASCII text without '#' or '_' whose lines all
-    hold 0 or 3 fields, at least one of them 3 (all that write_xyz
-    writes), is parsed in one pass over its tokens; any other text, and
-    text with a token float() refuses, is read line by line.  Both paths
-    call float() on the same tokens, so they give the same bits.
+    non-ASCII character.  numpy's text reader refuses those and '#' too,
+    and reads every other text with float()'s bits; text it refuses, or
+    reads as other than three columns, is read line by line.
     """
     X = None
-    if (text.isascii() and "_" not in text and "#" not in text
-            and set(map(len, map(str.split, text.splitlines()))) in ({3}, {0, 3})):
-        tokens = text.split()
+    if text and not text.isspace():
         try:
-            X = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 3)
+            X = np.loadtxt(text.splitlines(), comments=None, ndmin=2)
         except ValueError:
             pass
-    if X is None:
+    if X is None or X.shape[1] != 3:
         X = _xyz_lines(text)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite coordinate in XYZ input")
@@ -396,8 +392,13 @@ def save_dataset(data, directory) -> None:
 
     Images become PGM files, clouds XYZ files; manifest.csv is a
     write_table table of filename, numeric label and class name, with
-    kind, seed and the class names kept in its metadata.
+    kind, seed and the class names kept in its metadata.  A seed or class
+    name that the manifest cannot carry is refused before any file is written.
     """
+    _number(_cell(data.seed), f"dataset seed {data.seed} is not an integer", int)
+    for name in data.class_names:
+        if name != name.strip() or name.splitlines() != [name] or {"|", ","} & set(name):
+            raise ValueError(f"class name {name!r} cannot be written to a manifest")
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     ext = "pgm" if data.kind == "image" else "xyz"

@@ -160,6 +160,22 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match=message):
             LabeledDataset(kind, inputs, targets, ("a", "b"), 0)
 
+    @pytest.mark.parametrize("targets, message", [
+        ([0.7, 1.9], "label 0.7 is not an integer"),
+        ([0, 1.5], "label 1.5 is not an integer"),
+        ([math.nan, 0], "label nan is not an integer"),
+        (["0", "1"], "label '0' is not an integer"),
+    ], ids=["fractions", "one-fraction", "nan", "strings"])
+    def test_refuses_labels_the_int_cast_changes(self, targets, message):
+        """A label is never truncated to a class: 0.7 is not class 0."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LabeledDataset("cloud", [np.zeros((4, 3))] * 2, targets, ("a", "b"), 0)
+
+    def test_keeps_integral_labels_of_any_type(self):
+        data = LabeledDataset("cloud", [np.zeros((4, 3))] * 3, [1.0, True, np.int8(0)],
+                              ("a", "b"), 0)
+        assert data.targets.tolist() == [1, 1, 0]
+
 
 class TestTrainConfig:
     def test_rejects_bad_mode(self):
@@ -222,11 +238,16 @@ class TestModelRecord:
         ({"sigma": math.inf}, "model sigma inf is not a positive finite number"),
         ({"weights": np.zeros(3)}, "weights must be C x F with a length-C bias"),
         ({"bias": np.zeros(3)}, "weights must be C x F with a length-C bias"),
+        ({"weights": np.zeros((0, 3)), "bias": np.zeros(0)},
+         "model weights are 0 x 3; a model needs at least one class and one feature"),
+        ({"weights": np.zeros((2, 0))},
+         "model weights are 2 x 0; a model needs at least one class and one feature"),
         ({"weights": np.array([[0.0, math.nan, 0.0], [0.0, 0.0, 0.0]])},
          "model weights or bias contain non-finite values"),
         ({"bias": np.array([0.0, -math.inf])}, "model weights or bias contain non-finite values"),
     ], ids=["kind", "canonicalize", "scheme", "mode", "sigma-zero", "sigma-negative",
-            "sigma-nan", "sigma-inf", "weights-1d", "bias-length", "weight-nan", "bias-inf"])
+            "sigma-nan", "sigma-inf", "weights-1d", "bias-length", "no-classes", "no-features",
+            "weight-nan", "bias-inf"])
     def test_refuses(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _record(**fields)

@@ -1,6 +1,7 @@
 """Tests for the PGM/XYZ/OFF parsers, report text, and binary model blobs."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -391,6 +392,34 @@ class TestDatasetDirectory:
         with pytest.raises(ValueError):
             load_dataset(tmp_path / "nope")
 
+    @pytest.mark.parametrize("names, seed, message", [
+        (("a|b", "c"), 0, "class name 'a|b' cannot be written to a manifest"),
+        (("a,b", "c"), 0, "class name 'a,b' cannot be written to a manifest"),
+        (("a\nb", "c"), 0, "class name 'a\\nb' cannot be written to a manifest"),
+        (("a", "c\u2028"), 0, "class name 'c\\u2028' cannot be written to a manifest"),
+        ((" a", "c"), 0, "class name ' a' cannot be written to a manifest"),
+        (("a", "c "), 0, "class name 'c ' cannot be written to a manifest"),
+        (("",), 0, "class name '' cannot be written to a manifest"),
+        (("a", "c"), 1.5, "dataset seed 1.5 is not an integer"),
+        (("a", "c"), True, "dataset seed True is not an integer"),
+    ], ids=["bar", "comma", "line-break", "line-separator", "leading-space", "trailing-space",
+            "empty", "seed-fraction", "seed-flag"])
+    def test_save_refuses_what_the_manifest_cannot_carry(self, tmp_path, names, seed, message):
+        """Each of these would be written and then refused, or read back as
+        another dataset; save_dataset refuses it before writing any file."""
+        data = LabeledDataset("cloud", [np.eye(3)] * 2, [0, len(names) - 1], names, seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_dataset(data, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    def test_names_with_other_characters_round_trip(self, tmp_path):
+        names = ("a#b", "x=y", "inner space", "\u00e9t\u00e9", "# c", "=")
+        data = LabeledDataset("cloud", [np.eye(3)] * 6, range(6), names, 2)
+        save_dataset(data, tmp_path)
+        again = load_dataset(tmp_path)
+        assert (again.class_names, again.seed) == (names, 2)
+        assert again.targets.tolist() == list(range(6))
+
     def test_manifest_metadata_lines(self, tmp_path):
         data = gen_synthetic_clouds(seed=5, n_per_class=1, n_points=8)
         save_dataset(data, tmp_path / "d")
@@ -472,6 +501,15 @@ def _model(blob, data):
                                "--out", str(tmp / "r.csv")])
 
 
+def _shaped(n_classes, n_features):
+    """A cloud model file of n_classes x n_features zero weights, a shape no
+    model can have when either count is 0, so save_model cannot write it."""
+    head = save_model(LinearSoftmaxModel(weights=np.zeros((1, 1)), bias=np.zeros(1),
+                                         kind="cloud"))[:20]
+    return head + struct.pack("<II", n_classes, n_features) + bytes(
+        8 * n_classes * (n_features + 1))
+
+
 def _call(call):
     return lambda tmp: None, lambda path: call(), None
 
@@ -521,6 +559,12 @@ REFUSALS = [
                                                  kind="cloud"))),
      "weights must be C x F with a length-C bias", "model-shapes"),
     (_model(b"OCLM0001", _CLOUDS), "truncated model file", "model-truncated"),
+    (_model(_shaped(0, 24), _CLOUDS),
+     "model weights are 0 x 24; a model needs at least one class and one feature",
+     "model-no-classes"),
+    (_model(_shaped(4, 0), _CLOUDS),
+     "model weights are 4 x 0; a model needs at least one class and one feature",
+     "model-no-features"),
     (_model(save_model(LinearSoftmaxModel(weights=np.zeros((4, 12)), bias=np.zeros(4),
                                           kind="image")), _IMAGES),
      "the model takes images of 12 features, not 16 x 16 rasters", "model-image-features"),

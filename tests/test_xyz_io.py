@@ -1,16 +1,19 @@
 """read_xyz and write_xyz against the per-line reader and the per-coordinate
 writer they replaced, on generated texts and clouds.
 
-read_xyz parses text without '#' whose lines all hold 0 or 3 fields in one
-pass over its tokens, and anything else line by line; write_xyz formats a
-whole cloud with one '%' call.  The oracles below are the line loop and the
-join writer, kept as they were: read_xyz must return the oracle's array bit
-for bit or raise the oracle's exact message, and write_xyz must write the
-oracle's text wherever the oracle's text reads back.  The one departure:
-read_xyz refuses a coordinate holding '_' or a non-ASCII character, which
-float() takes, so a text with such a token must raise the message of the
-line loop that calls ascii_float in place of float().
+read_xyz hands text that is not blank to numpy's text reader, and what that
+refuses, or reads as other than three columns, line by line; write_xyz
+formats a whole cloud with one '%' call.  The oracles below are the line
+loop and the join writer, kept as they were: read_xyz must return the
+oracle's array bit for bit or raise the oracle's exact message, and
+write_xyz must write the oracle's text wherever the oracle's text reads
+back.  The one departure: read_xyz refuses a coordinate holding '_' or a
+non-ASCII character, which float() takes, so a text with such a token must
+raise the message of the line loop that calls ascii_float in place of
+float().
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,12 +93,17 @@ numbers = st.one_of(
                      "1_0", "+3", ".5", "5.", "1E3", "١٢"]),
 )
 special = st.sampled_from(["inf", "-inf", "+Infinity", "nan", "-NaN", "1e999", "-1e999"])
-junk = st.sampled_from(["abc", "1e", "--1", "0x1", "1__0", "_1", "1.2.3", "+", "-"])
+# Junk also holds what numpy's tokenizer might take where float() does not:
+# hex floats, NUL, a BOM or zero-width space glued to a number, fullwidth digits.
+junk = st.sampled_from(["abc", "1e", "--1", "0x1", "1__0", "_1", "1.2.3", "+", "-",
+                        "0x1p3", "1\x00", "\x00", "\ufeff1", "1\u200b", "\uff11\uff12"])
 bad = st.one_of(special, junk)
-# Separators inside a line; \x0c and \x1c are also line boundaries for
-# splitlines, NBSP only a field separator.
-gap = st.sampled_from([" ", "  ", "\t", " \t ", "\x0c", "\x1c", "\xa0"])
-ending = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+# Separators inside a line; \x0c, \x1c, \x85 and \u2028 are also line
+# boundaries for splitlines, NBSP and \x1f only field separators, and NUL, the
+# BOM and the zero-width space no separators at all.
+gap = st.sampled_from([" ", "  ", "\t", " \t ", "\x0c", "\x1c", "\xa0", "\x1f", "\x85",
+                       "\u2028", "\x00", "\ufeff", "\u200b"])
+ending = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x85", "\u2028"])
 blank = st.sampled_from(["", " ", "\t", "  \t ", "\x0c", "\xa0"])
 comment = st.sampled_from(["#", "# a comment", "  # indented", "#1 2 3", "# 1 2", "1 2 3 # tail"])
 
@@ -182,6 +190,19 @@ class TestReadXyz:
         X = read_xyz(text)
         assert X.tolist() == [[1, 2, 3], [4, 5, 6]]
         assert X.tobytes() == oracle_read_xyz(text).tobytes()
+
+    def test_peak_memory_is_bounded_by_the_text(self):
+        """A 50,000-point text is read without a Python string per token: the
+        peak stays under three times the text's length."""
+        text = write_xyz(np.random.default_rng(3).normal(size=(50_000, 3)))
+        tracemalloc.start()
+        try:
+            X = read_xyz(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (50_000, 3)
+        assert peak < 3 * len(text)
 
 
 clouds = arrays(np.float64, st.tuples(st.integers(1, 20), st.just(3)),
