@@ -80,7 +80,8 @@ class LabeledDataset:
     for clouds and (N, h, w) for rasters, and targets a read-only int
     vector.  Data are validated here, once: non-empty, one datum size (a
     mismatch names both), finite, integer labels within class_names, and
-    rasters clamped into [0, 1] as GrayImage clamps them.
+    rasters clamped into [0, 1] as GrayImage clamps them.  class_names
+    become a tuple of str and the seed an int; a bool is not a seed.
     """
 
     kind: str
@@ -92,6 +93,12 @@ class LabeledDataset:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be 'image' or 'cloud', got {self.kind!r}")
+        names = tuple(self.class_names)
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"class name {name!r} is not a string")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"dataset seed {self.seed} is not an integer")
         if len(self.inputs) == 0:
             raise ValueError("empty dataset")
         first = np.shape(self.inputs[0])
@@ -120,6 +127,8 @@ class LabeledDataset:
         inputs.flags.writeable = targets.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "class_names", names)
+        object.__setattr__(self, "seed", int(self.seed))
 
     def __len__(self) -> int:
         return len(self.inputs)

@@ -392,10 +392,9 @@ def save_dataset(data, directory) -> None:
 
     Images become PGM files, clouds XYZ files; manifest.csv is a
     write_table table of filename, numeric label and class name, with
-    kind, seed and the class names kept in its metadata.  A seed or class
-    name that the manifest cannot carry is refused before any file is written.
+    kind, seed and the class names kept in its metadata.  A class name that
+    the manifest cannot carry is refused before any file is written.
     """
-    _number(_cell(data.seed), f"dataset seed {data.seed} is not an integer", int)
     for name in data.class_names:
         if name != name.strip() or name.splitlines() != [name] or {"|", ","} & set(name):
             raise ValueError(f"class name {name!r} cannot be written to a manifest")

@@ -341,10 +341,10 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     Source samples falling outside the unit square give 0; interpolation
     stencils reaching past the raster clamp to the border row/column.
     Output values are clamped to [0, 1], and alpha = 0 reproduces a
-    raster in [0, 1] bit for bit under every scheme.  The geometry of an
-    angle (_rotation_taps) and the index of each pixel's first tap in the
-    chunk are built once per angle for a group of rasters, and once per
-    chunk for one angle per raster.
+    raster in [0, 1] bit for bit under every scheme.  The geometry of the
+    angles (_rotation_taps) and the index of each pixel's first tap are
+    built once per chunk of angles: whole groups of rasters, or one angle
+    whose group is taken in chunks of rasters.
     Only constants of the raster size are cached across calls, read-only:
     the centred offset grids and the edge-pad index.
     """
@@ -357,24 +357,20 @@ def rotate_image(img, alpha, scheme: str = "bilinear") -> np.ndarray:
     if alpha.ndim > p.ndim - 2 or alpha.shape != p.shape[:alpha.ndim]:
         raise ValueError(f"expected one angle per raster, {p.shape[:-2]}, got {alpha.shape}")
     # math's cos and sin, as for one angle: numpy's may round differently.
-    ca, sa = (np.array([f(a) for a in alpha.flat])[:, None, None] for f in (math.cos, math.sin))
+    ca, sa = (np.array([f(a) for a in alpha.flat])[:, None, None, None]
+              for f in (math.cos, math.sin))
     # The rasters of each angle; a broadcast stack stays a view.
     groups = p.reshape((alpha.size, math.prod(p.shape[alpha.ndim:-2]), n, n))
     out = np.empty(groups.shape)
-    if groups.shape[1] == 1:
-        stack, into = groups[:, 0], out[:, 0]
-        for s in _chunks(len(stack), n * n):
-            # A temporary table, so that no chunk's table outlives its resampling.
-            _resample(stack[s], _rotation_taps(n, ca[s], sa[s], scheme), into[s])
-    else:
-        for g, (group, into) in enumerate(zip(groups, out)):
-            shared, at = _rotation_taps(n, ca[g:g + 1], sa[g:g + 1], scheme), None
-            for s in _chunks(len(group), n * n):
-                # The first chunk is the longest; a shorter last one reads the index of its
-                # leading rasters.
-                if at is None:
-                    at = _tap_index(shared, len(group[s]))
-                _resample(group[s], shared, into[s], at[:len(group[s])])
+    # Angles share a chunk only when their whole groups fit, so each out[g, s] is contiguous.
+    for g in _chunks(len(groups), groups.shape[1] * n * n):
+        taps, at = _rotation_taps(n, ca[g], sa[g], scheme), None
+        for s in _chunks(groups.shape[1], n * n):
+            # The first chunk of rasters is the longest; the index is built for it.
+            at = _tap_index(taps, groups[g, s].shape[:2]) if at is None else at
+            _resample(groups[g, s], taps, out[g, s], at)
+        # No chunk's table outlives its resampling.
+        del taps, at
     return out.reshape(p.shape)
 
 
@@ -396,7 +392,7 @@ def _edge_index(n: int, pad: int) -> np.ndarray:
 
 def _rotation_taps(n: int, ca, sa, scheme: str):
     """(pad, outside, first, wr, wc) for n x n rasters and angles of cosine ca and sine sa,
-    (L or 1, 1, 1): first indexes each output pixel's first tap in a raster edge-padded by
+    (A, 1, 1, 1): first indexes each output pixel's first tap in a raster edge-padded by
     pad (0 nearest, 1 bilinear, 2 bicubic), tap (i, j) lies i rows and j columns on, of
     weight wr[i] * wc[j], and outside marks the pixels whose source lies outside the
     square.  Floors clamp to [-1, n - 1], which moves only those pixels: inside the square
@@ -448,22 +444,22 @@ def _clamped_floor(f: np.ndarray, low: int, high: int) -> np.ndarray:
     return np.minimum(f, high, out=f)
 
 
-def _tap_index(taps, count: int) -> np.ndarray:
-    """Where each output pixel's first tap sits in a chunk of count rasters edge-padded
+def _tap_index(taps, shape: tuple[int, int]) -> np.ndarray:
+    """Where each output pixel's first tap sits in a chunk (A, L) of rasters edge-padded
     for a table of _rotation_taps, laid end to end."""
     pad, _, first, _, _ = taps
     side = first.shape[-1] + 2 * pad
-    return np.arange(count)[:, None, None] * (side * side) + first
+    return np.arange(math.prod(shape)).reshape(shape + (1, 1)) * (side * side) + first
 
 
-def _resample(p, taps, out, at=None) -> None:
-    """rotate_image of p (L, n, n) by a table of _rotation_taps into out (L, n, n): one
-    gather per tap at a fixed offset from at, the chunk's _tap_index (built here if not
-    given), into one reused buffer, summed in row-major tap order."""
+def _resample(p, taps, out, at) -> None:
+    """rotate_image of p (A, L, n, n) by a table of _rotation_taps into out (A, L, n, n):
+    one gather per tap at a fixed offset from at, the _tap_index of this chunk or of a
+    longer one of one angle, into one reused buffer, summed in row-major tap order."""
     pad, outside, _, wr, wc = taps
     n, side = p.shape[-1], p.shape[-1] + 2 * pad
-    at = _tap_index(taps, len(p)) if at is None else at
-    src = (p.reshape(len(p), -1).take(_edge_index(n, pad), axis=1) if pad else p).ravel()
+    at = at[:, :p.shape[1]]
+    src = (p.reshape(-1, n * n).take(_edge_index(n, pad), axis=1) if pad else p).ravel()
     # Every index is in range, as the floors are clamped to [-1, n - 1] and the chunk is
     # padded by the stencil's reach.  Any mode but the default "raise" lets take write
     # into its out= directly, where "raise" first gathers into a copy.

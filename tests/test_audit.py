@@ -176,6 +176,24 @@ class TestLabeledDataset:
                               ("a", "b"), 0)
         assert data.targets.tolist() == [1, 1, 0]
 
+    @pytest.mark.parametrize("names, seed, message", [
+        (("a", "c"), 1.5, "dataset seed 1.5 is not an integer"),
+        (("a", "c"), True, "dataset seed True is not an integer"),
+        (("a", "c"), np.bool_(False), "dataset seed False is not an integer"),
+        ((7,), 0, "class name 7 is not a string"),
+        (["a", b"c"], 0, "class name b'c' is not a string"),
+    ], ids=["seed-fraction", "seed-flag", "seed-numpy-flag", "name-number", "name-bytes"])
+    def test_refuses_a_seed_or_name_of_another_type(self, names, seed, message):
+        """save_dataset would refuse these seeds, or fail on these names, only
+        after the dataset was built; the record refuses them itself."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LabeledDataset("cloud", [np.eye(3)], [0], names, seed)
+
+    def test_owns_its_names_and_seed(self):
+        data = LabeledDataset("cloud", [np.eye(3)] * 2, [0, 1], ["a", "b"], np.int64(7))
+        assert data.class_names == ("a", "b")
+        assert data.seed == 7 and type(data.seed) is int
+
 
 class TestTrainConfig:
     def test_rejects_bad_mode(self):

@@ -392,22 +392,21 @@ class TestDatasetDirectory:
         with pytest.raises(ValueError):
             load_dataset(tmp_path / "nope")
 
-    @pytest.mark.parametrize("names, seed, message", [
-        (("a|b", "c"), 0, "class name 'a|b' cannot be written to a manifest"),
-        (("a,b", "c"), 0, "class name 'a,b' cannot be written to a manifest"),
-        (("a\nb", "c"), 0, "class name 'a\\nb' cannot be written to a manifest"),
-        (("a", "c\u2028"), 0, "class name 'c\\u2028' cannot be written to a manifest"),
-        ((" a", "c"), 0, "class name ' a' cannot be written to a manifest"),
-        (("a", "c "), 0, "class name 'c ' cannot be written to a manifest"),
-        (("",), 0, "class name '' cannot be written to a manifest"),
-        (("a", "c"), 1.5, "dataset seed 1.5 is not an integer"),
-        (("a", "c"), True, "dataset seed True is not an integer"),
+    @pytest.mark.parametrize("names, message", [
+        (("a|b", "c"), "class name 'a|b' cannot be written to a manifest"),
+        (("a,b", "c"), "class name 'a,b' cannot be written to a manifest"),
+        (("a\nb", "c"), "class name 'a\\nb' cannot be written to a manifest"),
+        (("a", "c\u2028"), "class name 'c\\u2028' cannot be written to a manifest"),
+        ((" a", "c"), "class name ' a' cannot be written to a manifest"),
+        (("a", "c "), "class name 'c ' cannot be written to a manifest"),
+        (("",), "class name '' cannot be written to a manifest"),
     ], ids=["bar", "comma", "line-break", "line-separator", "leading-space", "trailing-space",
-            "empty", "seed-fraction", "seed-flag"])
-    def test_save_refuses_what_the_manifest_cannot_carry(self, tmp_path, names, seed, message):
+            "empty"])
+    def test_save_refuses_what_the_manifest_cannot_carry(self, tmp_path, names, message):
         """Each of these would be written and then refused, or read back as
-        another dataset; save_dataset refuses it before writing any file."""
-        data = LabeledDataset("cloud", [np.eye(3)] * 2, [0, len(names) - 1], names, seed)
+        another dataset; save_dataset refuses it before writing any file.
+        LabeledDataset itself refuses a seed or name of the wrong type."""
+        data = LabeledDataset("cloud", [np.eye(3)] * 2, [0, len(names) - 1], names, 0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             save_dataset(data, tmp_path / "d")
         assert not (tmp_path / "d").exists()

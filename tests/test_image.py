@@ -9,6 +9,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from orbitcanon import image
 from orbitcanon.audit import gen_synthetic_images
 from orbitcanon.image import (
     CHUNK_PIXELS,
@@ -922,6 +923,37 @@ class TestRotationTables:
         out = rotate_image(pair, angles[:2], scheme)
         for groups, alpha, got in zip(pair, angles[:2], out):
             _assert_same_bits(got, rotate_image(groups, alpha, scheme))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_many_small_groups(self, scheme, monkeypatch):
+        """Groups (G, N, n, n) small enough that several share a chunk, over
+        two full chunks of angles and a short last one: one table per chunk
+        of angles, and each group as a call of its own gives it."""
+        n, size, count = 16, 3, 23
+        per_chunk = CHUNK_PIXELS // (size * n * n)
+        assert per_chunk == 10 and _short_last_chunk(count, per_chunk)
+        rng = np.random.default_rng(395)
+        stack = _signed_rasters(rng, (count, size, n, n))
+        angles = rng.uniform(-7.0, 7.0, count)
+        angles[[0, 9, 10, 22]] = [0.0, np.pi / 2, np.radians(33.0), -np.pi]
+        tables, built = image._rotation_taps, []
+        monkeypatch.setattr(image, "_rotation_taps", lambda *args: built.append(args)
+                            or tables(*args))
+        out = rotate_image(stack, angles, scheme)
+        assert len(built) == math.ceil(count / per_chunk)
+        monkeypatch.undo()
+        for group, alpha, got in zip(stack, angles, out):
+            _assert_same_bits(got, rotate_image(group, alpha, scheme))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_empty_stacks(self, scheme, n):
+        """No raster, under one angle, no angle, or angles whose groups are
+        empty: an empty array of the input's shape."""
+        for stack, alpha in ((np.empty((0, n, n)), 0.3), (np.empty((0, n, n)), np.empty(0)),
+                             (np.empty((2, 0, n, n)), np.zeros(2))):
+            out = rotate_image(stack, alpha, scheme)
+            assert out.shape == stack.shape and out.dtype == float
 
     @pytest.mark.parametrize("shape", [(5, 4), (4,), (5,), (3, 5, 4)])
     def test_angles_that_lead_no_raster_axes(self, shape):
