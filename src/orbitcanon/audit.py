@@ -34,7 +34,7 @@ features; each audit, and curve, featurizes its stack moved to a chunk of grid p
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -72,6 +72,11 @@ _TEMPLATE_SEED = 715225739
 # Datasets
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Data of one kind ('image' or 'cloud') stacked in one array, with labels.
@@ -97,7 +102,7 @@ class LabeledDataset:
         for name in names:
             if not isinstance(name, str):
                 raise ValueError(f"class name {name!r} is not a string")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+        if not _is_integer(self.seed):
             raise ValueError(f"dataset seed {self.seed} is not an integer")
         if len(self.inputs) == 0:
             raise ValueError("empty dataset")
@@ -347,6 +352,10 @@ class TrainConfig:
     sigma: float = 1.0
 
     def __post_init__(self):
+        for name in ("k", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} {value!r} is not an integer")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.seed < 0:
@@ -383,21 +392,19 @@ def rotation_grid_3d() -> list[tuple[str, np.ndarray]]:
     return grid
 
 
-def featurize(model, data, training: bool = False) -> np.ndarray:
+def featurize(model, data) -> np.ndarray:
     """The feature matrix of a stack of data, one raveled datum a row.
 
     data is a stack (N, P, 3) of clouds or (N, h, w) of rasters, or a
-    list of equally sized ones, of the kind model.kind.  training marks
-    the trainer's stage, where 'test_only' does not canonicalize.  The
-    data are first canonicalized when the model canonicalizes at that
-    stage: a cloud stack in one canonicalize_clouds call, a raster stack
-    in one canonicalize_images call with the model's scheme and sigma.
-    The data must have the size of the model's weights; ValueError names
-    both sizes of a mismatch.
+    list of equally sized ones, of the kind model.kind.  The data are
+    first canonicalized when the model canonicalizes (its canonicalize is
+    not 'off'): a cloud stack in one canonicalize_clouds call, a raster
+    stack in one canonicalize_images call with the model's scheme and
+    sigma.  The data must have the size of the model's weights; ValueError
+    names both sizes of a mismatch.
     """
     data = np.asarray(data, dtype=float)
-    if model.canonicalize == "train_and_test" or (
-            model.canonicalize == "test_only" and not training):
+    if model.canonicalize != "off":
         data = (canonicalize_clouds(data) if model.kind == "cloud" else
                 canonicalize_images(data, model.scheme, model.sigma)).canonical
     feats = data.reshape(len(data), -1)
@@ -438,23 +445,24 @@ def _ce_grad(model, feats, labels):
 def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxModel:
     """Fit the linear softmax head by plain minibatch gradient descent.
 
-    The model returned is built before the first step, with zero weights
-    (the objective is convex, so no random init is needed), and fitted in
-    place.  Every random draw comes from generators seeded by cfg.seed,
-    making the result a deterministic function of (data, cfg).  Clean
-    samples and augmented candidates become features through featurize,
-    which canonicalizes them under 'train_and_test'.  Cloud candidates are
-    the rotation_grid_3d() rotations the 3-D audit scores, so it sees a
-    cloud model's training transforms (ROADMAP.md plans a held-out audit).
-    Raises ValueError if the parameters stop being finite (diverged
-    learning rate).
+    The model is built before the first step, with zero weights (the
+    objective is convex, so no random init is needed) and canonicalize
+    'off' under cfg.canonicalize 'test_only', fitted in place, and returned
+    recording cfg.canonicalize.  Every random draw comes from generators
+    seeded by cfg.seed, making the result a deterministic function of
+    (data, cfg).  Clean samples and augmented candidates become features
+    through featurize.  Cloud candidates are the rotation_grid_3d()
+    rotations the 3-D audit scores, so it sees a cloud model's training
+    transforms (ROADMAP.md plans a held-out audit).  Raises ValueError if
+    the parameters stop being finite (diverged learning rate).
     """
     model = LinearSoftmaxModel(weights=np.zeros((data.n_classes, data.inputs[0].size)),
                                bias=np.zeros(data.n_classes), kind=data.kind,
-                               canonicalize=cfg.canonicalize,
+                               canonicalize="off" if cfg.canonicalize == "test_only"
+                               else cfg.canonicalize,
                                scheme=cfg.scheme if data.kind == "image" else None,
                                sigma=cfg.sigma, mode=cfg.mode)
-    clean_feats = featurize(model, data.inputs, training=True)
+    clean_feats = featurize(model, data.inputs)
     labels = data.labels()
 
     shuffle_rng, aug_rng = (np.random.default_rng(s)
@@ -490,7 +498,7 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
                 # the sample's current loss.  k is 1 for random_augment.
                 # The batch's candidates are featurized and scored together,
                 # k consecutive rows per sample.
-                cand = featurize(model, draw(idx), training=True)
+                cand = featurize(model, draw(idx))
                 losses = -_log_softmax(model.logits(cand))[np.arange(len(cand)), np.repeat(yb, k)]
                 worst = np.argmax(losses.reshape(len(idx), k), axis=1)
                 adv = cand[np.arange(len(idx)) * k + worst]
@@ -524,7 +532,7 @@ def train_classifier(data: LabeledDataset, cfg: TrainConfig) -> LinearSoftmaxMod
             raise ValueError(
                 f"training diverged at epoch {epoch}: non-finite parameters "
                 f"(mode={cfg.mode}, learning_rate={cfg.learning_rate})")
-    return model
+    return replace(model, canonicalize=cfg.canonicalize)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +675,7 @@ def softmax_curve(model, sample, angles, scheme: str = "bilinear") -> np.ndarray
     a label outside the model's classes raises ValueError.
     """
     datum, label = sample
-    if not (isinstance(label, (int, np.integer)) and 0 <= label < len(model.weights)):
+    if not (_is_integer(label) and 0 <= label < len(model.weights)):
         raise ValueError(f"label {label!r} is not one of the model's {len(model.weights)} classes")
     datum, angles = np.asarray(datum, dtype=float), np.asarray(angles, dtype=float)
     move = partial(_rotate_rasters, scheme=scheme)

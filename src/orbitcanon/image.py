@@ -85,6 +85,8 @@ def _square_side(pixels: np.ndarray) -> int:
     if pixels.ndim < 2 or pixels.shape[-1] != pixels.shape[-2]:
         raise ValueError("rotation needs a square raster, got "
                          + " x ".join(str(d) for d in pixels.shape[-2:]))
+    if pixels.shape[-1] == 0:
+        raise ValueError("rotation needs a raster of at least one pixel, got 0 x 0")
     return pixels.shape[-1]
 
 
@@ -531,9 +533,9 @@ def canonicalize_images(stack, scheme: str = "bilinear",
 
     This function checks only what its callees do not: the shape, which
     sizes the chunks, and the rank.  Bad input raises ValueError, in this
-    order: a raster that is not square, not a stack (N, n, n), smaller than
-    2 x 2, a sigma that is not positive and finite, non-finite values
-    (mean_gradient's check), an unknown scheme (rotate_image's check).
+    order: a raster that is not square or empty, not a stack (N, n, n),
+    smaller than 2 x 2, a sigma that is not positive and finite, non-finite
+    values (mean_gradient's check), an unknown scheme (rotate_image's check).
     """
     p = np.asarray(stack, dtype=float)
     n = _square_side(p)

@@ -11,6 +11,7 @@ import pytest
 
 from orbitcanon import audit as audit_module
 from orbitcanon.audit import (
+    CANON_MODES,
     GRID_STEPS_3D,
     MODES,
     SCALE_FACTORS,
@@ -32,7 +33,7 @@ from orbitcanon.audit import (
 )
 from orbitcanon.cli import run
 from orbitcanon.cloud import DegenerateCloudError, canonicalize_similarity
-from orbitcanon.formats import ReportDocument, save_dataset, write_report
+from orbitcanon.formats import ReportDocument, save_dataset, save_model, write_report
 from orbitcanon.image import GRADIENT_THRESHOLD, GrayImage, canonicalize_images, rotate_image
 
 CLOUD_CLASSES = ("shell", "box", "tube", "cross")
@@ -231,6 +232,21 @@ class TestTrainConfig:
             TrainConfig(seed=-1)
         TrainConfig(seed=0)
 
+    @pytest.mark.parametrize("field", ["k", "epochs", "batch_size", "seed"])
+    @pytest.mark.parametrize("value", [2.5, -1.5, True, np.True_, "2"],
+                             ids=["float", "negative-float", "bool", "numpy-bool", "str"])
+    def test_refuses_counts_that_are_not_integers(self, field, value):
+        """A count is refused before its range check unless it is an int or a
+        numpy integer, and a bool is not one: 2.5 used to build and fail inside
+        numpy, after the model was built, and epochs=True trained one epoch."""
+        message = f"{field} {value!r} is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["k", "epochs", "batch_size", "seed"])
+    def test_numpy_integer_counts_build(self, field):
+        assert getattr(TrainConfig(**{field: np.int64(3)}), field) == 3
+
     def test_mode_list(self):
         assert MODES == ("plain", "random_augment", "adversarial", "mixed",
                          "adversarial_alp", "adversarial_kl")
@@ -315,10 +331,12 @@ def _log_softmax(z):
 
 
 def _training_record(data, cfg):
-    """The untrained model train_classifier builds from data and cfg."""
+    """The untrained model train_classifier builds from data and cfg and fits:
+    a 'test_only' config is fitted as 'off'."""
+    canonicalize = "off" if cfg.canonicalize == "test_only" else cfg.canonicalize
     return LinearSoftmaxModel(weights=np.zeros((data.n_classes, data.inputs[0].size)),
                               bias=np.zeros(data.n_classes), kind=data.kind,
-                              canonicalize=cfg.canonicalize, scheme=cfg.scheme,
+                              canonicalize=canonicalize, scheme=cfg.scheme,
                               sigma=cfg.sigma, mode=cfg.mode)
 
 
@@ -327,8 +345,7 @@ def _worst_of_k_reference(data, cfg):
     draws its k transforms, is featurized and scored on its own, and keeps
     the candidate of highest loss; one gradient step per minibatch follows.
     Draws and shuffles come from the trainer's seeded streams in its order."""
-    clean = featurize(_training_record(data, cfg), [datum for datum, _ in data.samples],
-                      training=True)
+    clean = featurize(_training_record(data, cfg), [datum for datum, _ in data.samples])
     labels = data.labels()
     W = np.zeros((data.n_classes, clean.shape[1]))
     b = np.zeros(data.n_classes)
@@ -349,7 +366,7 @@ def _worst_of_k_reference(data, cfg):
             kept = []
             for i in idx:
                 cand = featurize(_training_record(data, cfg),
-                                 [draw(data.samples[i][0]) for _ in range(cfg.k)], training=True)
+                                 [draw(data.samples[i][0]) for _ in range(cfg.k)])
                 losses = -_log_softmax(cand @ W.T + b)[:, labels[i]]
                 kept.append(cand[int(np.argmax(losses))])
             kept = np.stack(kept)
@@ -434,6 +451,23 @@ class TestTrainClassifier:
         mixed = train_classifier(data, TrainConfig(mode="mixed", epochs=10,
                                                    seed=3))
         assert not np.array_equal(plain.weights, mixed.weights)
+
+    @pytest.mark.parametrize("kind", ["cloud", "image"])
+    @pytest.mark.parametrize("mode", ["plain", "random_augment", "adversarial"])
+    def test_test_only_fits_as_off(self, kind, mode):
+        """test_only canonicalizes at test time only, so it trains an off model
+        bit for bit: the model files differ in the canonicalize code byte alone."""
+        data = (gen_synthetic_clouds(seed=2, n_per_class=3) if kind == "cloud"
+                else gen_synthetic_images(seed=2, n_per_class=2, size=16))
+        cfg = TrainConfig(mode=mode, k=3, epochs=3, batch_size=4, seed=8)
+        off = train_classifier(data, cfg)
+        test_only = train_classifier(data, replace(cfg, canonicalize="test_only"))
+        assert off.weights.tobytes() == test_only.weights.tobytes()
+        assert off.bias.tobytes() == test_only.bias.tobytes()
+        a, b = save_model(off), save_model(test_only)
+        assert len(a) == len(b)
+        assert [i for i in range(len(a)) if a[i] != b[i]] == [9]  # after magic and kind
+        assert (a[9], b[9]) == (CANON_MODES.index("off"), CANON_MODES.index("test_only"))
 
     def test_model_records_mode_and_canonicalize(self):
         data = gen_synthetic_clouds(seed=2, n_per_class=3)
@@ -927,9 +961,10 @@ class TestSoftmaxCurve:
         curve = softmax_curve(model, (cloud, label), angles)
         assert np.ptp(curve) <= 1e-8
 
-    @pytest.mark.parametrize("label", [-1, 4, 1.0])
+    @pytest.mark.parametrize("label", [-1, 4, 1.0, True])
     def test_label_outside_the_classes_is_refused(self, label):
-        """-1 used to give class 3's curve, 4 and 1.0 a bare IndexError."""
+        """-1 used to give class 3's curve, 4 and 1.0 a bare IndexError, and
+        True every class's probability at each angle."""
         data = gen_synthetic_images(seed=16, n_per_class=1, size=16)
         message = f"label {label!r} is not one of the model's 4 classes"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -996,14 +1031,19 @@ class TestFeaturize:
         data = gen_synthetic_images(seed=19, n_per_class=1, size=16)
         img = data.samples[0][0]
         a = featurize(_training_record(data, TrainConfig(canonicalize="train_and_test",
-                                                         scheme="nearest")), [img], training=True)
+                                                         scheme="nearest")), [img])
         b = featurize(_training_record(data, TrainConfig(canonicalize="train_and_test",
-                                                         scheme="bilinear")), [img], training=True)
+                                                         scheme="bilinear")), [img])
         assert not np.array_equal(a, b)
 
     def test_training_skips_test_only_canonicalization(self):
+        """The record the trainer fits for a test_only config gives raw rows."""
         data = gen_synthetic_clouds(seed=20, n_per_class=1)
         clouds = [x for x, _ in data.samples]
-        feats = featurize(_training_record(data, TrainConfig(canonicalize="test_only")), clouds,
-                          training=True)
+        feats = featurize(_training_record(data, TrainConfig(canonicalize="test_only")), clouds)
         np.testing.assert_array_equal(feats, np.stack([x.ravel() for x in clouds]))
+
+    def test_takes_no_stage_flag(self):
+        """The model record alone decides the orbit mapping."""
+        with pytest.raises(TypeError):
+            featurize(_record(), np.zeros((1, 1, 3)), training=True)

@@ -955,6 +955,18 @@ class TestRotationTables:
             out = rotate_image(stack, alpha, scheme)
             assert out.shape == stack.shape and out.dtype == float
 
+    @pytest.mark.parametrize("call", [
+        *(lambda stack, scheme=scheme: rotate_image(stack, 0.3, scheme) for scheme in SCHEMES),
+        lambda stack: mean_gradient(stack, 1.0), canonicalize_images,
+    ], ids=[*SCHEMES, "mean_gradient", "canonicalize_images"])
+    def test_raster_without_a_pixel(self, call):
+        """A 0 x 0 raster is refused by the shape rule all three share: bilinear and
+        bicubic used to fail inside numpy, nearest to return the empty stack, and the
+        other two to ask for a 2 x 2 raster for a gradient."""
+        message = "rotation needs a raster of at least one pixel, got 0 x 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(np.empty((3, 0, 0)))
+
     @pytest.mark.parametrize("shape", [(5, 4), (4,), (5,), (3, 5, 4)])
     def test_angles_that_lead_no_raster_axes(self, shape):
         """Angles for a stack (3, 5, 4, 4) must have the shape (), (3,) or
