@@ -2,25 +2,13 @@
 
 Canonicalizers pick a fixed representative from the set of transformed
 copies of a datum (rotations of an image, similarity transforms of a
-point cloud, permutations of a vector).  Composing a model with a
-canonicalizer makes it invariant to those transforms; the audit module
-measures how much that buys in worst-case accuracy compared to training
-tricks like random or adversarial augmentation.
+point cloud).  Composing a model with a canonicalizer makes it invariant
+to those transforms; the audit module measures how much that buys in
+worst-case accuracy compared to training tricks like random or
+adversarial augmentation.
 """
 
-from .groups import (
-    CanonResult,
-    FiniteGroup,
-    GroupAxiomError,
-    check_group_axioms,
-    equivariant_average,
-    equivariant_canon,
-    finite_orbit_canonicalize,
-    invariant_wrap,
-    quarter_turn_group,
-    symmetric_group,
-)
-from .vectors import mean_subtract, sort_canonicalize, sort_energy
+from .groups import CanonResult, equivariant_canon, invariant_wrap
 from .cloud import (
     DegenerateCloudError,
     PCAFrame,
@@ -71,18 +59,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanonResult",
-    "FiniteGroup",
-    "GroupAxiomError",
-    "check_group_axioms",
-    "equivariant_average",
     "equivariant_canon",
-    "finite_orbit_canonicalize",
     "invariant_wrap",
-    "quarter_turn_group",
-    "symmetric_group",
-    "mean_subtract",
-    "sort_canonicalize",
-    "sort_energy",
     "DegenerateCloudError",
     "PCAFrame",
     "canonicalize_clouds",

@@ -77,6 +77,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether value is a Python or numpy integer or float; a bool is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Data of one kind ('image' or 'cloud') stacked in one array, with labels.
@@ -281,7 +286,7 @@ def _check_settings(canonicalize, scheme, sigma, mode, schemes=(None,) + SCHEMES
         raise ValueError(f"unknown canonicalize mode {canonicalize!r}")
     if scheme not in schemes:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not 0.0 < sigma < math.inf:
+    if not (_is_real(sigma) and 0.0 < sigma < math.inf):
         raise ValueError(f"model sigma {sigma!r} is not a positive finite number")
     if mode not in MODES:
         raise ValueError(f"unknown training mode {mode!r}")
@@ -356,6 +361,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ValueError(f"{name} {value!r} is not an integer")
+        for name in ("lam", "weight_decay", "learning_rate"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} {value!r} is not a real number")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.seed < 0:

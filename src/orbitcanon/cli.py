@@ -15,7 +15,6 @@ of a kind of data they do not take.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -26,11 +25,8 @@ from . import audit as _audit
 from . import formats as _formats
 from .cloud import (DegenerateCloudError, canonicalize_clouds, canonicalize_similarity,
                     eig3_sym)
-from .groups import (CanonResult, check_group_axioms, equivariant_average,
-                     equivariant_canon, finite_orbit_canonicalize, invariant_wrap,
-                     quarter_turn_group, symmetric_group)
+from .groups import equivariant_canon
 from .image import GrayImage, SCHEMES, canonicalize_image, canonicalize_images, rotate_image
-from .vectors import mean_subtract, sort_canonicalize, sort_energy
 
 _MODE_NAMES = {"plain": "plain", "ra": "random_augment", "adv": "adversarial",
                "mixed": "mixed", "adv-alp": "adversarial_alp",
@@ -226,28 +222,6 @@ def _cmd_curve(args) -> int:
 SELFTEST_SEED = 20240817
 
 
-def _group_axioms(rng):
-    check_group_axioms(quarter_turn_group(), [rng.random((4, 4))])
-    check_group_axioms(symmetric_group(3), [rng.random(3)])
-
-
-def _sort_oracle(rng):
-    for _ in range(200):
-        x = np.round(rng.normal(size=4), 3)
-        best = max((tuple(x[list(p)]) for p in itertools.permutations(range(4))),
-                   key=lambda v: (sort_energy(np.array(v)), v))
-        got = sort_canonicalize(x).canonical
-        assert tuple(got) == best, (x, got, best)
-
-
-def _shift_invariance(rng):
-    for _ in range(100):
-        x = rng.normal(size=8)
-        a, _ = mean_subtract(x)
-        b, _ = mean_subtract(x + rng.normal())
-        assert np.allclose(a, b, atol=1e-12)
-
-
 def _eig_reconstruction(rng):
     for _ in range(100):
         A = rng.normal(size=(3, 3))
@@ -286,17 +260,6 @@ def _angle_consistency(rng):
 
 
 def _equivariance(rng):
-    grid = np.round(rng.random((8, 8)) * 256) / 256
-    mask = np.round(rng.random((8, 8)) * 16) / 16
-
-    def inner(a):
-        return np.asarray(a) * mask
-
-    g4 = quarter_turn_group()
-    left = equivariant_average(np.rot90(grid, 1), g4, inner)
-    right = np.rot90(equivariant_average(grid, g4, inner), 1)
-    assert np.array_equal(left, right)
-
     X = rng.normal(size=(24, 3)) * np.array([1.4, 1.0, 0.7])
     A = rng.normal(size=(3, 3))
 
@@ -323,28 +286,13 @@ def _roundtrips(rng):
     assert loaded.canonicalize == model.canonicalize
 
 
-def _wrapped_invariance(rng):
-    f = invariant_wrap(sort_canonicalize, lambda v: float(np.sum(v * np.arange(len(v)))))
-    x = rng.normal(size=5)
-    p = rng.permutation(5)
-    assert f(x) == f(x[p])
-    res = finite_orbit_canonicalize(x, symmetric_group(5), energy=sort_energy)
-    assert np.allclose(res.canonical, sort_canonicalize(x).canonical)
-    g = invariant_wrap(lambda v: CanonResult(mean_subtract(v)[0], None), lambda v: float(v @ v))
-    assert abs(g(x) - g(x + 3.25)) < 1e-9
-
-
 SELFTEST_CHECKS = (
-    ("group axioms (C4, S3)", _group_axioms),
-    ("sort canonicalization matches brute force", _sort_oracle),
-    ("mean subtraction is shift invariant", _shift_invariance),
     ("symmetric eigendecomposition reconstructs", _eig_reconstruction),
     ("cloud canonicalization is similarity invariant", _cloud_invariance),
     ("zero rotation is the identity; quarter turn is rot90", _rotation_identity),
     ("canonical angle tracks rotations", _angle_consistency),
-    ("group averaging and canonicalizer conjugation are equivariant", _equivariance),
+    ("canonicalizer conjugation is equivariant", _equivariance),
     ("file formats round-trip", _roundtrips),
-    ("invariant wrappers are invariant", _wrapped_invariance),
 )
 
 

@@ -247,6 +247,19 @@ class TestTrainConfig:
     def test_numpy_integer_counts_build(self, field):
         assert getattr(TrainConfig(**{field: np.int64(3)}), field) == 3
 
+    @pytest.mark.parametrize("field", ["lam", "weight_decay", "learning_rate", "sigma",
+                                       "model-sigma"])
+    @pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "str"])
+    def test_refuses_float_fields_that_are_not_numbers(self, field, value):
+        """A bool or a string in a float field is a ValueError naming it:
+        sigma=True used to build and keep True, and lam="0.5" failed with
+        Python's own TypeError from the range check."""
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            if field == "model-sigma":
+                _record(sigma=value)
+            else:
+                TrainConfig(**{field: value})
+
     def test_mode_list(self):
         assert MODES == ("plain", "random_augment", "adversarial", "mixed",
                          "adversarial_alp", "adversarial_kl")

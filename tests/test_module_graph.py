@@ -14,7 +14,7 @@ import pytest
 
 import orbitcanon
 
-MODULE_ORDER = ("groups", "vectors", "cloud", "image", "audit", "formats", "cli")
+MODULE_ORDER = ("groups", "cloud", "image", "audit", "formats", "cli")
 PACKAGE = Path(orbitcanon.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
