@@ -337,7 +337,15 @@ class LinearSoftmaxModel:
         return features @ self.weights.T + self.bias
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(features), axis=1)
+        return np.argmax(self._finite_logits(features), axis=1)
+
+    def _finite_logits(self, features: np.ndarray) -> np.ndarray:
+        """logits, refused with ValueError where inputs too large for the model overflow one."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = self.logits(features)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("the model's logits overflow the float range on these inputs")
+        return z
 
 
 @dataclass(frozen=True)
@@ -602,7 +610,8 @@ def _swept(model, inputs, parameters, move):
     A datum that featurize refuses is named as its grid point alone names it."""
     step = max(1, SWEEP_CHUNK_FLOATS // inputs.size)
     for start in range(0, len(parameters), step):
-        moved = move(inputs, parameters[start:start + step])
+        with np.errstate(over="ignore", invalid="ignore"):  # featurize or predict refuses it
+            moved = move(inputs, parameters[start:start + step])
         try:
             feats = featurize(model, moved.reshape((-1,) + inputs.shape[1:]))
         except ValueError:
@@ -681,7 +690,7 @@ def softmax_curve(model, sample, angles, scheme: str = "bilinear") -> np.ndarray
 
     Images rotate in-plane with `scheme`; clouds rotate about the z axis, both
     swept as the audits sweep (see _swept).  Returns one probability per angle;
-    a label outside the model's classes raises ValueError.
+    a label outside the model's classes, or logits that overflow, raise ValueError.
     """
     datum, label = sample
     if not (_is_integer(label) and 0 <= label < len(model.weights)):
@@ -690,5 +699,6 @@ def softmax_curve(model, sample, angles, scheme: str = "bilinear") -> np.ndarray
     move = partial(_rotate_rasters, scheme=scheme)
     if model.kind == "cloud":
         angles, move = np.array([rotation_about(2, a) for a in angles]), _rotate_clouds
-    return np.array([np.exp(_log_softmax(model.logits(row)))[0, label]
-                     for row in _swept(model, datum[None], angles, move)])
+    logits = [model._finite_logits(row) for row in _swept(model, datum[None], angles, move)]
+    with np.errstate(over="ignore"):  # a logit over the float range below the top is p = 0
+        return np.array([np.exp(_log_softmax(z))[0, label] for z in logits])

@@ -8,8 +8,8 @@ identical inputs and flags.  Exit codes: 0 success, 1 usage error,
 Usage errors include non-finite hyperparameters, negative seeds and
 curve labels outside the model's classes.  Data errors include model
 files with non-finite parameters, empty datasets, inputs whose size
-differs from the model's or from the rest of their dataset, and audits
-of a kind of data they do not take.
+differs from the model's or from the rest of their dataset, inputs that
+overflow the model's logits, and audits of a kind of data they do not take.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ import numpy as np
 
 from . import audit as _audit
 from . import formats as _formats
-from .cloud import (DegenerateCloudError, canonicalize_clouds, canonicalize_similarity,
-                    eig3_sym)
+from .cloud import DegenerateCloudError, canonicalize_clouds, eig3_sym
 from .groups import equivariant_canon
-from .image import GrayImage, SCHEMES, canonicalize_image, canonicalize_images, rotate_image
+from .image import GrayImage, SCHEMES, canonicalize_images, rotate_image
 
 _MODE_NAMES = {"plain": "plain", "ra": "random_augment", "adv": "adversarial",
                "mixed": "mixed", "adv-alp": "adversarial_alp",
@@ -128,28 +127,29 @@ def _cmd_canon_image(args) -> int:
     if not 0.0 < args.sigma < math.inf:
         raise _UsageError(f"--sigma must be positive and finite, got {args.sigma}")
     img = _formats.read_pgm(Path(args.infile).read_bytes())
-    res = canonicalize_image(img.pixels, scheme=args.scheme, sigma=args.sigma)
-    Path(args.outfile).write_bytes(_formats.write_pgm(res.canonical))
+    res = canonicalize_images(img.pixels[None], args.scheme, args.sigma)
+    Path(args.outfile).write_bytes(_formats.write_pgm(res.canonical[0]))
     if args.report:
         Path(args.report).write_text(_formats.write_table(
             "# orbitcanon canon-image v1",
             {"scheme": args.scheme, "sigma": args.sigma},
             "alpha_radians,gradient_magnitude,degenerate",
-            [(res.element, res.energy, res.degenerate)]))
+            [(res.element[0], res.energy[0], res.degenerate[0])]))
     return 0
 
 
 def _cmd_canon_cloud(args) -> int:
     X = _read_cloud_file(Path(args.infile))
-    canonical, frame = canonicalize_similarity(X)
-    Path(args.outfile).write_text(_formats.write_xyz(canonical))
+    res = canonicalize_clouds(X[None])
+    Path(args.outfile).write_text(_formats.write_xyz(res.canonical[0]))
     if args.frame:
-        rows = [("centroid", *frame.centroid), ("scale", frame.scale, "", ""),
-                ("signs", *frame.signs), ("singular_values", *frame.singular_values)]
-        rows += [(f"basis_row{i}", *frame.basis[i]) for i in range(3)]
+        frame = res.element
+        rows = [("centroid", *frame.centroid[0]), ("scale", frame.scale[0], "", ""),
+                ("signs", *frame.signs[0]), ("singular_values", *frame.singular_values[0])]
+        rows += [(f"basis_row{i}", *frame.basis[0, i]) for i in range(3)]
         Path(args.frame).write_text(_formats.write_table(
             "# orbitcanon canon-cloud frame v1",
-            {"degenerate": frame.degenerate}, "field,x,y,z", rows))
+            {"degenerate": frame.degenerate[0]}, "field,x,y,z", rows))
     return 0
 
 
@@ -234,11 +234,10 @@ def _eig_reconstruction(rng):
 def _cloud_invariance(rng):
     for _ in range(20):
         X = rng.normal(size=(32, 3)) * np.array([1.5, 1.0, 0.6])
-        c0, _ = canonicalize_similarity(X)
         theta = rng.uniform(0, 2 * np.pi)
         R = _audit.rotation_about(int(rng.integers(3)), theta)
         Y = rng.uniform(0.5, 2.0) * (X @ R) + rng.normal(size=3)
-        c1, _ = canonicalize_similarity(Y)
+        c0, c1 = canonicalize_clouds(np.stack([X, Y])).canonical
         assert np.abs(c0 - c1).max() < 1e-8
 
 

@@ -164,23 +164,20 @@ class PCAFrame:
                        signs=np.ones_like(self.signs))
 
 
-def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
-           scale: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, PCAFrame]:
+def _align(X: np.ndarray, centroid: np.ndarray, scale: np.ndarray,
+           work: np.ndarray) -> tuple[np.ndarray, PCAFrame]:
     """Rotate each centered, unit-scaled cloud of a validated stack (N, P, 3)
     onto its principal axes, deterministically; the frame records the
     centroids and scales already removed from X.  The canonical clouds are
     made in work, an array of X's shape, which is returned.
 
     The eigenvectors V of X^T X (descending eigenvalues) fix the axes; the
-    leftover per-axis sign freedom is pinned by requiring the reference
-    point's projection onto each axis to be positive.  With
-    sign_reference="first" the reference is point 0, which matches clouds
-    whose row order is meaningful; "max_norm" uses the farthest point from
-    the origin (ties broken by lexicographically largest coordinates) and
-    is insensitive to row order.  If the chosen projection is within
-    SIGN_RTOL of zero relative to the cloud's mean norm, the first point
-    with a decisive projection is used instead and the result is flagged
-    degenerate, as it is when adjacent eigenvalues agree to EIG_TIE_RTOL.
+    leftover per-axis sign freedom is pinned by one rule: point 0 projects
+    positively onto each axis.  On an axis where point 0's projection is
+    within SIGN_RTOL of zero relative to the cloud's mean norm, the first
+    point with a decisive projection pins the sign instead and the result
+    is flagged degenerate, as it is when adjacent eigenvalues agree to
+    EIG_TIE_RTOL.
 
     If the signed choice would make basis @ diag(signs) a reflection, the
     sign on the weakest axis is flipped so the aligning map is a proper
@@ -196,16 +193,9 @@ def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
     degenerate = np.any(w[:, :-1] - w[:, 1:]
                         < EIG_TIE_RTOL * np.maximum(w[:, :1], 1e-300), axis=1)
 
-    if sign_reference == "first":
-        ref = np.zeros(len(X), dtype=int)
-    else:
-        # The last of an ascending sort by (norm, x, y, z); points that
-        # tie on all four are the same point.
-        ref = np.lexsort((X[..., 2], X[..., 1], X[..., 0], norms), axis=1)[:, -1]
-
-    # Each axis takes the sign of the reference point's projection or, when
-    # that is within sign_tol of zero (a loose cloud), of the first decisive one.
-    pinned = P[np.arange(len(X)), ref]
+    # Each axis takes the sign of point 0's projection or, when that is
+    # within sign_tol of zero (a loose cloud), of the first decisive one.
+    pinned = P[:, 0].copy()
     settled = np.abs(pinned) > sign_tol
     loose = np.flatnonzero(~settled.all(axis=1))
     if loose.size:
@@ -232,8 +222,7 @@ def _align(X: np.ndarray, sign_reference: str, centroid: np.ndarray,
     return P, frame
 
 
-def canonicalize_similarity(points, sign_reference: str = "first"
-                            ) -> tuple[np.ndarray, PCAFrame]:
+def canonicalize_similarity(points) -> tuple[np.ndarray, PCAFrame]:
     """Full similarity canonicalization of one cloud: center, unit-scale,
     then rotate.
 
@@ -242,14 +231,14 @@ def canonicalize_similarity(points, sign_reference: str = "first"
     reproduces the canonical cloud.  This is canonicalize_clouds on a
     stack of one.
     """
-    res = canonicalize_clouds(as_cloud(points)[None], sign_reference)
+    res = canonicalize_clouds(as_cloud(points)[None])
     f = res.element
     return res.canonical[0], PCAFrame(
         centroid=f.centroid[0], scale=float(f.scale[0]), basis=f.basis[0], signs=f.signs[0],
         singular_values=f.singular_values[0], degenerate=bool(f.degenerate[0]))
 
 
-def canonicalize_clouds(clouds, sign_reference: str = "first") -> CanonResult:
+def canonicalize_clouds(clouds) -> CanonResult:
     """Similarity canonicalization of every cloud of a stack (N, P, 3) at once.
 
     Returns a CanonResult whose fields all carry the leading axis N: the
@@ -295,8 +284,6 @@ def canonicalize_clouds(clouds, sign_reference: str = "first") -> CanonResult:
                "the mean distance from the centroid overflows the float range")
     if X.shape[1] < 3:
         raise ValueError("need at least 3 points to fix a rotation")
-    if sign_reference not in ("first", "max_norm"):
-        raise ValueError(f"unknown sign_reference {sign_reference!r}")
     X /= scale[:, None, None]
-    canonical, frame = _align(X, sign_reference, np.ldexp(centroid, e[:, None]), restored, work)
+    canonical, frame = _align(X, np.ldexp(centroid, e[:, None]), restored, work)
     return CanonResult(canonical, frame, frame.degenerate, frame.singular_values[:, 0] ** 2)

@@ -39,19 +39,20 @@ _F17 = "{:.17g}".format
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
-def _pgm_tokens(data: bytes, count: int, pos: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated ASCII integers starting at pos.
-
-    '#' starts a comment running to end of line, as the format allows.
-    Returns the values and the offset one past the final token.
+def _pgm_tokens(data: bytes, count: int, pos: int, noun: str) -> tuple[list[int], int]:
+    """Read `count` whitespace-separated ASCII decimals, a non-numeric `noun` being
+    any token but the digits 0-9, a sign included; '#' starts a comment running
+    to end of line, as the format allows.  Returns the values and the offset
+    one past the final token.
     """
     values: list[int] = []
     for _ in range(count):
         match = _PGM_TOKEN.match(data, pos)
         token, pos = match[1], match.end()
-        if not token:
-            raise ValueError("truncated header: expected more numeric fields")
-        values.append(_number(token.decode("latin-1"), f"non-numeric header token {token!r}", int))
+        if not token.isdigit():
+            raise ValueError(f"non-numeric {noun} {token!r}" if token else
+                             "truncated header: expected more numeric fields")
+        values.append(int(token))
     return values, pos
 
 
@@ -67,14 +68,14 @@ def read_pgm(data: bytes) -> GrayImage:
     magic = data[:2]
     if magic not in (b"P5", b"P2"):
         raise ValueError(f"not a PGM file: magic {magic!r} (want P5 or P2)")
-    (width, height, maxval), pos = _pgm_tokens(data, 3, 2)
+    (width, height, maxval), pos = _pgm_tokens(data, 3, 2, "header token")
     if width < 1 or height < 1:
         raise ValueError(f"bad dimensions {width} x {height}")
     if not 0 < maxval < 65536:
         raise ValueError(f"maxval {maxval} out of range 1..65535")
 
     if magic == b"P2":
-        flat, _ = _pgm_tokens(data, width * height, pos)
+        flat, _ = _pgm_tokens(data, width * height, pos, "raster sample")
         raster = np.array(flat, dtype=float).reshape(height, width)
     else:
         pos += 1  # exactly one whitespace byte separates header and raster

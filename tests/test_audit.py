@@ -937,6 +937,53 @@ class TestChunkMoves:
         assert calls["rotate_image"] == calls["rotation2d"]
 
 
+class TestOverflowingLogits:
+    """predict and softmax_curve refuse logits that overflow instead of ranking
+    or exponentiating them; logits itself, which the trainer's divergence check
+    reads, computes them unchecked.  The model's logits are +-weight times the z
+    coordinate of the cloud's point 0, which rotations about z keep."""
+
+    MESSAGE = "the model's logits overflow the float range on these inputs"
+
+    @staticmethod
+    def _model(weight):
+        weights = np.zeros((2, 12))
+        weights[:, 2] = weight, -weight
+        return LinearSoftmaxModel(weights=weights, bias=np.zeros(2), kind="cloud")
+
+    @staticmethod
+    def _cloud(z):
+        cloud = np.zeros((4, 3))
+        cloud[0, 2], cloud[1:, :2] = z, np.eye(3)[:, :2]
+        return cloud
+
+    def test_predict_refuses(self):
+        model, feats = self._model(2.0), self._cloud(1e308).reshape(1, -1)
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            model.predict(feats)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(model.logits(feats), [[np.inf, -np.inf]])
+
+    def test_curve_refuses(self):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            softmax_curve(self._model(2.0), (self._cloud(1e308), 0), [0.0, 1.0])
+
+    def test_curve_of_logits_further_apart_than_the_float_range(self):
+        """Logits of +-1e308 are finite; their gap is not, and the probabilities
+        are its limits, with no warning."""
+        model, cloud = self._model(1.0), self._cloud(1e308)
+        np.testing.assert_array_equal(softmax_curve(model, (cloud, 0), [0.0, 1.0]), [1.0, 1.0])
+        np.testing.assert_array_equal(softmax_curve(model, (cloud, 1), [0.0, 1.0]), [0.0, 0.0])
+
+    def test_scale_audit_refuses(self):
+        """Clouds of coordinates near 1e306 give logits that overflow at the
+        larger scales."""
+        data = gen_synthetic_clouds(seed=0, n_per_class=1, n_points=8)
+        model = LinearSoftmaxModel(weights=np.ones((4, 24)), bias=np.zeros(4), kind="cloud")
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            evaluate_scale_sweep(model, replace(data, inputs=data.inputs * 1e306))
+
+
 class TestSoftmaxCurve:
     def test_angle_zero_equals_clean_probability(self):
         data = gen_synthetic_images(seed=16, n_per_class=2, size=16)

@@ -3,16 +3,18 @@
 import math
 import struct
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from orbitcanon.audit import (LabeledDataset, gen_synthetic_clouds, gen_synthetic_images,
                               rotation_about)
-from orbitcanon import audit, cli
+from orbitcanon import audit, cli, cloud, image
 from orbitcanon.cli import run
-from orbitcanon.cloud import canonicalize_similarity
+from orbitcanon.cloud import canonicalize_clouds, canonicalize_similarity
 from orbitcanon.formats import (
+    load_dataset,
     load_model,
     read_pgm,
     read_report,
@@ -23,7 +25,7 @@ from orbitcanon.formats import (
     write_table,
     write_xyz,
 )
-from orbitcanon.image import GrayImage, canonicalize_image, rotate_image
+from orbitcanon.image import GrayImage, canonicalize_image, canonicalize_images, rotate_image
 
 
 @pytest.fixture()
@@ -391,6 +393,20 @@ class TestTrainAndAudit:
         assert not out.exists()
         assert capsys.readouterr().err == (
             "error: manifest line 5: class_name 'cross' does not match label 0 ('shell')\n")
+
+    def test_overflowing_logits_are_data_error(self, tmp_path, capsys):
+        """A plain model fit on clouds audited on the same clouds times 1e306:
+        at scale 100 they overflow, and the audit is refused, not reported."""
+        small = _gen(tmp_path, "clouds", seed=0, per_class=2)
+        data = load_dataset(small)
+        save_dataset(replace(data, inputs=data.inputs * 1e306), tmp_path / "big")
+        model, report = tmp_path / "off.bin", tmp_path / "report.csv"
+        assert run(["train", "--data", str(small), "--model", str(model)]) == 0
+        assert run(["audit-scale", "--model", str(model), "--data", str(tmp_path / "big"),
+                    "--out", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the model's logits overflow the float range on these inputs\n")
+        assert not report.exists()
 
     def test_scale_audit(self, tmp_path):
         data = _gen(tmp_path, "clouds", seed=0, per_class=4)
@@ -798,6 +814,60 @@ class TestRerunBytes:
             for path in outputs:
                 assert run([str(arg) for arg in command + [path]]) == 0
             assert outputs[0].read_bytes() == outputs[1].read_bytes(), command[0]
+
+
+class TestStackedCanonicalizers:
+    """canon-cloud, canon-image and selftest run on canonicalize_clouds and
+    canonicalize_images alone: with the one-datum functions made to raise,
+    each command writes what the stacked call on a stack of one gives."""
+
+    @pytest.fixture()
+    def without_one_datum_calls(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-datum canonicalizer was called")
+
+        patched = [(cloud, "canonicalize_similarity"), (cloud, "as_cloud"),
+                   (image, "canonicalize_image")]
+        for module, name in patched:
+            monkeypatch.setattr(module, name, refuse)
+            monkeypatch.setattr(cli, name, refuse, raising=False)
+
+    def test_canon_cloud(self, tmp_path, cloud_file, without_one_datum_calls):
+        _, pts = cloud_file
+        off = tmp_path / "cloud.off"
+        off.write_text(f"OFF\n{len(pts)} 0 0\n" + write_xyz(pts))
+        res = canonicalize_clouds(pts[None])
+        frame = res.element
+        for path in (cloud_file[0], off):
+            out, side = tmp_path / f"{path.suffix[1:]}.xyz", tmp_path / f"{path.suffix[1:]}.csv"
+            assert run(["canon-cloud", "--in", str(path), "--out", str(out),
+                        "--frame", str(side)]) == 0
+            assert out.read_text() == write_xyz(res.canonical[0])
+            rows = [("centroid", *frame.centroid[0]), ("scale", frame.scale[0], "", ""),
+                    ("signs", *frame.signs[0]),
+                    ("singular_values", *frame.singular_values[0])]
+            rows += [(f"basis_row{i}", *frame.basis[0, i]) for i in range(3)]
+            assert side.read_text() == write_table(
+                "# orbitcanon canon-cloud frame v1", {"degenerate": frame.degenerate[0]},
+                "field,x,y,z", rows)
+
+    @pytest.mark.parametrize("scheme", ["nearest", "bilinear", "bicubic"])
+    def test_canon_image(self, tmp_path, image_file, without_one_datum_calls, scheme):
+        path, img = image_file
+        out, report = tmp_path / "c.pgm", tmp_path / "c.csv"
+        assert run(["canon-image", "--in", str(path), "--out", str(out), "--scheme", scheme,
+                    "--sigma", "1.5", "--report", str(report)]) == 0
+        res = canonicalize_images(read_pgm(path.read_bytes()).pixels[None], scheme, 1.5)
+        assert out.read_bytes() == write_pgm(res.canonical[0])
+        assert report.read_text() == write_table(
+            "# orbitcanon canon-image v1", {"scheme": scheme, "sigma": 1.5},
+            "alpha_radians,gradient_magnitude,degenerate",
+            [(res.element[0], res.energy[0], res.degenerate[0])])
+
+    def test_selftest(self, capsys, without_one_datum_calls):
+        assert run(["selftest"]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("all selftest checks passed\n") and err == ""
 
 
 class TestSelftest:

@@ -383,10 +383,6 @@ class TestCanonicalizeRotation:
         np.testing.assert_allclose(np.swapaxes(frame.basis, 1, 2) @ frame.basis,
                                    np.broadcast_to(np.eye(3), (50, 3, 3)), atol=1e-10)
 
-    def test_sign_reference_validation(self):
-        with pytest.raises(ValueError, match="unknown sign_reference"):
-            canonicalize_similarity(AXIS_ALIGNED, sign_reference="nope")
-
 
 class TestCanonicalizeSimilarity:
     def test_idempotent(self):
@@ -446,19 +442,6 @@ class TestCanonicalizeSimilarity:
 
 
 class TestPermutationBehavior:
-    def test_max_norm_reference_is_order_free(self):
-        """With the farthest-point sign reference, any row shuffle leaves
-        the canonical form unchanged as a set of points."""
-        rng = np.random.default_rng(212)
-        for _ in range(25):
-            x = rng.normal(size=(16, 3))
-            base, _ = canonicalize_similarity(x, sign_reference="max_norm")
-            perm = rng.permutation(16)
-            shuffled, _ = canonicalize_similarity(x[perm],
-                                                  sign_reference="max_norm")
-            np.testing.assert_allclose(_lex_rows(shuffled), _lex_rows(base),
-                                       atol=1e-9)
-
     def test_first_reference_with_anchor_fixed(self):
         """The first-row sign rule is order-free among shuffles that keep
         row 0 in place."""
@@ -522,16 +505,15 @@ class TestCanonicalizeClouds:
                    + rng.normal(size=3) for _ in range(4)]
         return np.array(clouds)
 
-    @pytest.mark.parametrize("sign_reference", ["first", "max_norm"])
-    def test_lanes_equal_clouds_alone(self, sign_reference):
+    def test_lanes_equal_clouds_alone(self):
         stack = self._stack()
-        res = canonicalize_clouds(stack, sign_reference)
+        res = canonicalize_clouds(stack)
         canonical, frame = res.canonical, res.element
         assert canonical.shape == stack.shape
         assert frame.scale.shape == frame.degenerate.shape == (len(stack),)
         assert res.degenerate.shape == res.energy.shape == (len(stack),)
         for i, cloud in enumerate(stack):
-            alone, alone_frame = canonicalize_similarity(cloud, sign_reference)
+            alone, alone_frame = canonicalize_similarity(cloud)
             _assert_bits_equal(canonical[i], alone)
             for stacked, single in zip(_frame_fields(frame), _frame_fields(alone_frame)):
                 _assert_bits_equal(stacked[i], single)
@@ -541,17 +523,20 @@ class TestCanonicalizeClouds:
         assert not frame.degenerate[4:].any()
 
     def test_settled_axis_keeps_its_reference_in_a_loose_cloud(self):
-        """The max-norm reference (point 1) pins axis 0 although point 0 is
-        decisive on it with the other sign; axes 1 and 2 fall back to points
-        2 and 4.  The cloud sits in a stack of clouds that need no fallback."""
-        cloud = np.vstack([AXIS_ALIGNED[[1, 0, 2, 3, 4, 5]], np.zeros((2, 3))])
+        """Point 0 pins axis 0, on which it is decisive, although point 2 is
+        as far out with the other sign; point 0 projects to 0 on axes 1 and
+        2, which fall back to points 1 and 4, both on the negative side
+        before the flip.  The cloud sits in a stack of clouds that need no
+        fallback."""
+        cloud = np.vstack([AXIS_ALIGNED[[0, 3, 1, 2, 5, 4]], np.zeros((2, 3))])
         rng = np.random.default_rng(220)
         stack = np.array([rng.normal(size=(8, 3)) * [1.5, 1.0, 0.5], cloud,
                           rng.normal(size=(8, 3)) * [1.5, 1.0, 0.5]])
-        res = canonicalize_clouds(stack, "max_norm")
+        res = canonicalize_clouds(stack)
         canonical = res.canonical
-        assert canonical[1, 1, 0] > 0.0 > canonical[1, 0, 0]
-        assert canonical[1, 2, 1] > 0.0 and canonical[1, 4, 2] > 0.0
+        assert canonical[1, 0, 0] > 0.0 > canonical[1, 2, 0]
+        assert canonical[1, 1, 1] > 0.0 and canonical[1, 4, 2] > 0.0
+        np.testing.assert_array_equal(res.element.signs[1], [1.0, -1.0, -1.0])
         np.testing.assert_array_equal(res.degenerate, [False, True, False])
 
     def test_point_norms_sum_as_the_library_norm(self):
@@ -723,7 +708,7 @@ def _reference_point_norms(X):
     return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
 
 
-def _reference_canonicalize_clouds(clouds, sign_reference="first"):
+def _reference_canonicalize_clouds(clouds):
     """canonicalize_clouds with its first formulas: |X| maxima, centering by an
     (N, 1, 3) operand, point norms without a work buffer and the canonical
     clouds as the product P * signs."""
@@ -748,8 +733,6 @@ def _reference_canonicalize_clouds(clouds, sign_reference="first"):
                "the mean distance from the centroid overflows the float range")
     if X.shape[1] < 3:
         raise ValueError("need at least 3 points to fix a rotation")
-    if sign_reference not in ("first", "max_norm"):
-        raise ValueError(f"unknown sign_reference {sign_reference!r}")
     X /= scale[:, None, None]
 
     norms = _reference_point_norms(X)
@@ -758,11 +741,7 @@ def _reference_canonicalize_clouds(clouds, sign_reference="first"):
     sign_tol = SIGN_RTOL * np.maximum(norms.mean(axis=1), 1e-300)[:, None]
     degenerate = np.any(w[:, :-1] - w[:, 1:]
                         < EIG_TIE_RTOL * np.maximum(w[:, :1], 1e-300), axis=1)
-    if sign_reference == "first":
-        ref = np.zeros(len(X), dtype=int)
-    else:
-        ref = np.lexsort((X[..., 2], X[..., 1], X[..., 0], norms), axis=1)[:, -1]
-    pinned = P[np.arange(len(X)), ref]
+    pinned = P[:, 0].copy()
     settled = np.abs(pinned) > sign_tol
     loose = np.flatnonzero(~settled.all(axis=1))
     if loose.size:
@@ -792,7 +771,7 @@ def _oracle_stack(seed, n, p, lanes, decades, offsets, zeros):
         decade = min(decade, 299 - offset)
         cloud = rng.normal(size=(p, 3)) * [1.5, 1.0, 0.6] @ _random_rotation(rng)
         if kind == "loose" and p >= len(AXIS_ALIGNED):
-            # Every axis meets the first and the farthest point at 0 or +-0.
+            # Point 0 is decisive on the axis of largest spread only.
             cloud = np.zeros((p, 3))
             cloud[:len(AXIS_ALIGNED)] = AXIS_ALIGNED
         elif kind == "loose":
@@ -810,9 +789,9 @@ def _oracle_stack(seed, n, p, lanes, decades, offsets, zeros):
     return np.array(clouds)
 
 
-def _outcome(canonicalize, stack, sign_reference):
+def _outcome(canonicalize, stack):
     try:
-        return canonicalize(stack.copy(), sign_reference)
+        return canonicalize(stack.copy())
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -825,7 +804,7 @@ def test_canonicalize_clouds_matches_its_first_formulas():
     negation keep every bit of the first formulas: canonical clouds, frame
     fields, flags, energies and error messages, from 1e-300 to 1e300, at
     offsets up to 1e15 spreads, on signed zeros, sign fallbacks, coincident
-    and non-finite clouds, under both sign references."""
+    and non-finite clouds."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     lanes = st.lists(st.sampled_from(_LANES[:2]) | st.sampled_from(_LANES), min_size=7,
@@ -837,22 +816,20 @@ def test_canonicalize_clouds_matches_its_first_formulas():
                       p=st.sampled_from([3, 4, 64]), lanes=lanes,
                       decades=st.lists(st.integers(-300, 300), min_size=7, max_size=7),
                       offsets=st.lists(st.integers(0, 15), min_size=7, max_size=7),
-                      zeros=st.booleans(), sign_reference=st.sampled_from(["first", "max_norm"]))
+                      zeros=st.booleans())
     @hypothesis.example(seed=1, n=7, p=64, lanes=["ordinary", "loose"] * 3 + ["ordinary"],
                         decades=[-300, 299, 0, 5, -300, 0, 299], offsets=[0, 0, 15, 12, 0, 0, 0],
-                        zeros=True, sign_reference="max_norm")
+                        zeros=True)
     @hypothesis.example(seed=2, n=2, p=3, lanes=["ordinary", "loose"] + ["ordinary"] * 5,
-                        decades=[0] * 7, offsets=[0] * 7, zeros=True, sign_reference="first")
+                        decades=[0] * 7, offsets=[0] * 7, zeros=True)
     @hypothesis.example(seed=3, n=7, p=4, lanes=["ordinary"] * 3 + ["coincident"] * 4,
-                        decades=[-300] * 7, offsets=[15] * 7, zeros=False,
-                        sign_reference="first")
+                        decades=[-300] * 7, offsets=[15] * 7, zeros=False)
     @hypothesis.example(seed=4, n=2, p=64, lanes=["ordinary", "nonfinite"] + ["ordinary"] * 5,
-                        decades=[300] * 7, offsets=[0] * 7, zeros=False,
-                        sign_reference="max_norm")
-    def check(seed, n, p, lanes, decades, offsets, zeros, sign_reference):
+                        decades=[300] * 7, offsets=[0] * 7, zeros=False)
+    def check(seed, n, p, lanes, decades, offsets, zeros):
         stack = _oracle_stack(seed, n, p, lanes, decades, offsets, zeros)
-        got = _outcome(canonicalize_clouds, stack, sign_reference)
-        want = _outcome(_reference_canonicalize_clouds, stack, sign_reference)
+        got = _outcome(canonicalize_clouds, stack)
+        want = _outcome(_reference_canonicalize_clouds, stack)
         if isinstance(want, tuple):
             assert got == want
             cases.append(want[1].partition(": ")[2] or want[1])

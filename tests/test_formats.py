@@ -429,12 +429,12 @@ class TestDatasetDirectory:
 
 
 class TestNumberRule:
-    """PGM tokens and manifest integers are read as XYZ and OFF numbers are:
-    int() alone reads '2_55' as 255."""
+    """Manifest integers are read as XYZ and OFF numbers are, and PGM tokens
+    as unsigned decimals: int() alone reads '2_55' as 255."""
 
     @pytest.mark.parametrize("data, message", [
         (b"P2\n2 1\n2_55\n1 0\n", "non-numeric header token b'2_55'"),
-        (b"P2\n2 1\n255\n1_0 0\n", "non-numeric header token b'1_0'"),
+        (b"P2\n2 1\n255\n1_0 0\n", "non-numeric raster sample b'1_0'"),
         (b"P5\n0_2 1\n255\n" + bytes(2), "non-numeric header token b'0_2'"),
         ("P2\n1 1\n\u0661\n0\n".encode(), "non-numeric header token b'\\xd9\\xa1'"),
     ], ids=["maxval", "p2-sample", "p5-width", "non-ascii"])
@@ -526,6 +526,12 @@ REFUSALS = [
     (_pgm(b"P"), "not a PGM file: too short", "pgm-short"),
     (_pgm(b"P2\n0 1\n255\n"), "bad dimensions 0 x 1", "pgm-dimensions"),
     (_pgm(b"P2\n1 1\n5\n9\n"), "sample value exceeds maxval 5", "pgm-maxval"),
+    (_pgm(b"P2\n2 2\n255\n-5 10 20 30\n"), "non-numeric raster sample b'-5'",
+     "pgm-negative-sample"),
+    (_pgm(b"P2\n2 2\n255\n+5 10 20 30\n"), "non-numeric raster sample b'+5'",
+     "pgm-signed-sample"),
+    (_pgm(b"P5\n+2 1\n255\n" + bytes(2)), "non-numeric header token b'+2'",
+     "pgm-signed-header"),
     (_call(lambda: write_xyz(np.zeros((2, 2)))), "expected an N x 3 point array", "xyz-shape"),
     (_off("# nothing\n"), "empty OFF input", "off-empty"),
     (_off("OFF\n"), "OFF input has no counts line", "off-no-counts"),
